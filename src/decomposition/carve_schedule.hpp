@@ -39,7 +39,9 @@ namespace dsnd {
 struct TheoremBounds {
   double strong_diameter = 0.0;
   double colors = 0.0;
-  /// The theorem's whp round bound. Under the Las Vegas recarve loop
+  /// The theorem's whp round bound, counting every simulated round a
+  /// phase occupies: ceil(k) broadcast rounds plus the membership
+  /// announcement. Under the Las Vegas recarve loop
   /// (OverflowPolicy::kRetry) a run may additionally spend
   /// CarveResult::extra_rounds replaying overflowed phases; compare
   /// measured rounds against rounds_with_retries(run.extra_rounds) so

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "decomposition/checkpoint.hpp"
+#include "decomposition/departed_neighbors.hpp"
 #include "decomposition/validation.hpp"
 #include "simulator/engine.hpp"
 #include "support/assert.hpp"
@@ -85,6 +86,7 @@ class CarvingProtocol final : public Protocol {
       live_[v] = static_cast<VertexId>(v);
     }
     live_dirty_ = false;
+    departed_.reset(g);
     phase_ = 0;
     step_ = 0;
     retry_ = 0;
@@ -105,7 +107,8 @@ class CarvingProtocol final : public Protocol {
       if (restore_armed_) {
         // Rollback: overwrite the freshly initialized per-vertex arrays
         // with the last validated checkpoint and resume at its phase.
-        // Nothing else needs restoring — best_/second_/sent_* are
+        // The departed-neighbor flags are rebuilt from the restored
+        // alive_. Nothing else needs restoring — best_/second_/sent_* are
         // rewritten at the attempt's step 0 and never read for carved
         // vertices, and round 0 runs EVERY vertex in scheduled mode, so
         // no wake-calendar snapshot is needed: carved vertices return
@@ -114,6 +117,7 @@ class CarvingProtocol final : public Protocol {
         DSND_CHECK(cp.restorable() && cp.alive.size() == n,
                    "restore armed without a matching checkpoint");
         std::copy(cp.alive.begin(), cp.alive.end(), alive_.begin());
+        departed_.rebuild(alive_);
         std::copy(cp.chosen_center.begin(), cp.chosen_center.end(),
                   chosen_center_.begin());
         std::copy(cp.chosen_phase.begin(), cp.chosen_phase.end(),
@@ -222,6 +226,15 @@ class CarvingProtocol final : public Protocol {
     if (!alive_[vi]) return;
     Accum& accum = accum_[out.worker()];
 
+    // Leaves arrive in the next attempt's sampling round, and a faulty
+    // transport may deliver them at any later step: record them before
+    // anything else, so every send below skips the neighbors known gone.
+    for (const MessageView& msg : inbox) {
+      if (!msg.words.empty() && msg.words[0] == kTagLeave) {
+        departed_.record(v, msg.from);
+      }
+    }
+
     if (step_ == 0) {
       // Instrumentation only: the worker remembers the deepest phase any
       // of its vertices reached; the fold takes the max.
@@ -251,6 +264,7 @@ class CarvingProtocol final : public Protocol {
     }
 
     for (const MessageView& msg : inbox) {
+      // Leaves were recorded above; only entries merge.
       if (msg.words.empty() || msg.words[0] != kTagEntry) continue;
       DSND_CHECK(msg.words.size() == 4, "malformed entry message");
       CarveEntry entry;
@@ -277,7 +291,7 @@ class CarvingProtocol final : public Protocol {
         // worker-order concatenation is ascending for any thread count.
         arena_->joiners[out.worker()].push_back(v);
       }
-      out.send_to_all_neighbors({kTagLeave});
+      out.send_to_all_neighbors({kTagLeave}, departed_.row(v));
     } else {
       // Survivors sample again at the next attempt's step 0.
       out.wake_self_in(1);
@@ -494,12 +508,13 @@ class CarvingProtocol final : public Protocol {
       const bool in_range =
           static_cast<double>(next_dist) <= std::floor(entry->radius);
       if (in_range) {
-        // Dead neighbors discard silently; a vertex does not learn
-        // which neighbor left, only that someone did.
+        // Neighbors whose leave arrived are skipped; one whose leave was
+        // lost or is still in flight discards the entry silently.
         out.send_to_all_neighbors(
             {kTagEntry, static_cast<std::uint64_t>(entry->center),
              pack_double(entry->radius),
-             static_cast<std::uint64_t>(next_dist)});
+             static_cast<std::uint64_t>(next_dist)},
+            departed_.row(v));
       }
     }
     // Mirror the whole top-2 so an entry (transmitted, or skipped as out
@@ -540,6 +555,9 @@ class CarvingProtocol final : public Protocol {
   std::int32_t restored_phases_used_ = 0;
   unsigned workers_ = 1;
   std::vector<char> alive_;
+  // Per-CSR-position record of the neighbors whose leave this vertex
+  // received; each vertex touches only its own row.
+  DepartedNeighbors departed_;
   std::vector<double> radii_;
   std::vector<double> unit_scratch_;
   std::vector<VertexId> live_;
@@ -625,7 +643,8 @@ DistributedCarveResult run_carve_attempt(SyncEngine& engine,
 /// Reliable transports take the single-attempt fast path unchanged.
 /// Lossy transports get the verify-and-recover loop, now phase-granular:
 /// every attempt that claims success is checked with
-/// validate_decomposition_fast; a failed attempt (rejected clustering,
+/// validate_decomposition_fast (complete, properly colored, connected,
+/// every center inside its cluster); a failed attempt (rejected clustering,
 /// invalid phase caught at its boundary, or a named engine failure)
 /// first ROLLS BACK to the last validated phase-boundary checkpoint and
 /// replays only the suffix phases on a rollback-salted seed —
@@ -671,7 +690,6 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
   for (;;) {
     DistributedCarveResult result = run_carve_attempt(
         engine, protocol, schedule.params(run_seed), schedule_cap);
-    total_faults += result.sim.faults;
     if (recovery_run) {
       // Recovery cost in phases: a rollback bills only the suffix past
       // its restored checkpoint, a whole-run retry bills every phase it
@@ -679,7 +697,14 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
       replayed += std::max<std::int64_t>(
           0, result.carve.phases_used - restore_base);
     }
-    run.sim = result.sim;
+    // sim bills the work of every attempt — discarded attempts,
+    // rollbacks and retries really ran. Its status and fault fields
+    // describe the final attempt; carve.faults totals every attempt's.
+    run.sim.add_work(result.sim);
+    run.sim.status = result.sim.status;
+    run.sim.faults = result.sim.faults;
+    run.sim.faults_per_round = std::move(result.sim.faults_per_round);
+    total_faults += result.sim.faults;
     run.run.carve = std::move(result.carve);
     run.run.carve.run_retries = attempt;
     run.run.carve.rollbacks = rollbacks;
@@ -693,8 +718,10 @@ DistributedRun run_schedule_distributed_with(SyncEngine& engine,
       } else {
         const FastDecompositionReport report = validate_decomposition_fast(
             original_graph, run.run.carve.clustering);
+        // A cluster that does not hold its recorded center voids Claim
+        // 3's radius certificate, however well-formed the partition is.
         if (report.complete && report.proper_phase_coloring &&
-            report.all_clusters_connected) {
+            report.all_clusters_connected && report.centerless_clusters == 0) {
           break;  // validated under faults: genuinely kOk
         }
         run.run.carve.status = CarveStatus::kRejected;

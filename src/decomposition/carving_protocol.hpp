@@ -9,7 +9,10 @@
 // forwards only its top-2 shifted values, one entry per message —
 // [tag, center, radius-bits, dist], 4 words. An entry is (re)sent only
 // when it changed at this vertex, so traffic per phase is proportional
-// to the number of top-2 improvements rather than phase length.
+// to the number of top-2 improvements rather than phase length. A joiner
+// announces [leave] to its neighbors in the phase's last round; each
+// receiver records the sender (departed_neighbors.hpp) and never sends
+// to it again, so every later phase runs on the surviving graph.
 //
 // On the same seed the protocol is bit-identical to carve_decomposition:
 // both draw r_v from stream (seed, phase, retry, vertex) and both compute
@@ -45,7 +48,10 @@ struct DistributedCarveResult {
 };
 
 /// A distributed decomposition run: the theorem-level result plus the
-/// simulator's message/round accounting.
+/// simulator's accounting. Rounds, messages, words and activations sum
+/// every attempt the verify-and-recover loop ran (discarded ones
+/// included); sim.status and sim.faults describe the final attempt, and
+/// run.carve.faults totals the faults of every attempt.
 struct DistributedRun {
   DecompositionRun run;
   SimMetrics sim;

@@ -48,8 +48,9 @@ CarveSchedule theorem1_schedule(VertexId n, std::int32_t k, double c) {
   schedule.c = c;
   schedule.bounds.strong_diameter = 2.0 * rk - 2.0;
   schedule.bounds.colors = static_cast<double>(lambda);
+  // k broadcast rounds plus the membership announcement per phase.
   schedule.bounds.rounds =
-      static_cast<double>(rk) * static_cast<double>(lambda);
+      (static_cast<double>(rk) + 1.0) * static_cast<double>(lambda);
   schedule.bounds.success_probability = 1.0 - 3.0 / c;
   return schedule;
 }

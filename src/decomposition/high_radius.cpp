@@ -32,7 +32,9 @@ CarveSchedule theorem3_schedule(VertexId n, std::int32_t lambda, double c) {
   schedule.c = c;
   schedule.bounds.strong_diameter = 2.0 * k;  // paper: 2 (cn)^{1/λ} ln(cn)
   schedule.bounds.colors = static_cast<double>(lambda);
-  schedule.bounds.rounds = static_cast<double>(lambda) * k;
+  // ceil(k) broadcast rounds plus the membership announcement per phase.
+  schedule.bounds.rounds = static_cast<double>(lambda) *
+                           (static_cast<double>(schedule.phase_rounds) + 1.0);
   schedule.bounds.success_probability = 1.0 - 3.0 / c;
   return schedule;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "decomposition/departed_neighbors.hpp"
 #include "simulator/engine.hpp"
 #include "support/assert.hpp"
 #include "support/distributions.hpp"
@@ -34,6 +35,7 @@ class LinialSaksProtocol final : public Protocol {
     const auto n = static_cast<std::size_t>(g.num_vertices());
     graph_ = &g;
     alive_.assign(n, 1);
+    departed_.reset(g);
     frontier_.assign(n, {});
     chosen_center_.assign(n, -1);
     chosen_phase_.assign(n, -1);
@@ -51,6 +53,13 @@ class LinialSaksProtocol final : public Protocol {
     const auto step = static_cast<std::int32_t>(round % phase_len);
 
     Accum& accum = accum_[out.worker()];
+    // Leaves arrive at the next phase's step 0: record them first, so
+    // this vertex never floods a neighbor that has already left.
+    for (const MessageView& msg : inbox) {
+      if (!msg.words.empty() && msg.words[0] == kTagLeave) {
+        departed_.record(v, msg.from);
+      }
+    }
     if (step == 0) {
       accum.phases_used = std::max(accum.phases_used, phase + 1);
       // Identical stream to linial_saks_decomposition.
@@ -89,7 +98,7 @@ class LinialSaksProtocol final : public Protocol {
       chosen_phase_[vi] = phase;
       alive_[vi] = 0;
       ++accum.carved;
-      out.send_to_all_neighbors({kTagLeave});
+      out.send_to_all_neighbors({kTagLeave}, departed_.row(v));
     } else {
       // Survivors sample again at the next phase's step 0.
       out.wake_self_in(1);
@@ -185,13 +194,13 @@ class LinialSaksProtocol final : public Protocol {
     return true;
   }
 
+  /// Floods the entry to every neighbor not known to have left.
   void forward(VertexId v, const LsEntry& entry, Outbox& out) {
     if (entry.dist + 1 > entry.radius) return;  // range exhausted
-    for (VertexId w : graph_->neighbors(v)) {
-      out.send(w, {kTagEntry, static_cast<std::uint64_t>(entry.id),
-                   static_cast<std::uint64_t>(entry.radius),
-                   static_cast<std::uint64_t>(entry.dist + 1)});
-    }
+    out.send_to_all_neighbors({kTagEntry, static_cast<std::uint64_t>(entry.id),
+                               static_cast<std::uint64_t>(entry.radius),
+                               static_cast<std::uint64_t>(entry.dist + 1)},
+                              departed_.row(v));
   }
 
   /// Per-worker aggregate slice (support/per_worker.hpp): monotone
@@ -207,6 +216,7 @@ class LinialSaksProtocol final : public Protocol {
   const double p_;
   const Graph* graph_ = nullptr;
   std::vector<char> alive_;
+  DepartedNeighbors departed_;  // leaves received, per CSR position
   std::vector<std::vector<LsEntry>> frontier_;
   std::vector<VertexId> chosen_center_;
   std::vector<std::int32_t> chosen_phase_;

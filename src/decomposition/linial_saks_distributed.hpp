@@ -11,6 +11,8 @@
 // entries. The frontier never exceeds k entries (ranges lie in [0, k-1]),
 // so per-round traffic is O(k) messages per edge instead of O(1): one
 // quantitative reason the shifted-exponential rule is CONGEST-friendlier.
+// Like the Elkin–Neiman protocol, a joiner announces [leave] and its
+// neighbors stop flooding it (decomposition/departed_neighbors.hpp).
 //
 // Bit-identical to linial_saks_decomposition on the same seed (the
 // min-id winner and its exact distance survive pruning along every

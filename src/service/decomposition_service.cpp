@@ -132,9 +132,9 @@ std::shared_ptr<const ServiceResult> DecompositionService::execute(
   if (options_.validate_responses) {
     const FastDecompositionReport report = validate_decomposition_fast(
         *carved_graph, result->run.run.clustering());
-    const bool clustering_ok = report.complete &&
-                               report.proper_phase_coloring &&
-                               report.all_clusters_connected;
+    const bool clustering_ok =
+        report.complete && report.proper_phase_coloring &&
+        report.all_clusters_connected && report.centerless_clusters == 0;
     if (result->run.run.carve.status == CarveStatus::kOk &&
         !clustering_ok) {
       // The never-silently-invalid contract: a run that claimed ok but

@@ -58,9 +58,11 @@ void Outbox::send(VertexId to, std::span<const std::uint64_t> words) {
       sender_, to, static_cast<std::uint32_t>(words.size()), begin});
 }
 
-void Outbox::send_to_all_neighbors(std::span<const std::uint64_t> words) {
+void Outbox::send_to_all_neighbors(std::span<const std::uint64_t> words,
+                                   std::span<const char> skip) {
   ensure_neighbors();
-  if (neighbors_.empty()) return;
+  DSND_REQUIRE(skip.empty() || skip.size() == neighbors_.size(),
+               "skip mask must cover the sender's neighbor row");
   // The neighbor row is sorted, so destinations group into runs per
   // shard: one arena copy of the payload per destination shard, shared
   // by every header addressed to it.
@@ -68,7 +70,9 @@ void Outbox::send_to_all_neighbors(std::span<const std::uint64_t> words) {
   unsigned shard = ~0u;
   detail::ShardBucket* bucket = nullptr;
   std::size_t begin = 0;
-  for (const VertexId to : neighbors_) {
+  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
+    if (!skip.empty() && skip[i] != 0) continue;
+    const VertexId to = neighbors_[i];
     if (const unsigned s = engine_.shard_of(to); s != shard) {
       shard = s;
       bucket = &staging_.buckets[s];

@@ -158,12 +158,17 @@ class Outbox {
 
   /// Queues the same payload to every neighbor of the current vertex.
   /// The payload words are stored once per destination shard touched and
-  /// shared by all copies addressed to that shard.
-  void send_to_all_neighbors(std::span<const std::uint64_t> words);
+  /// shared by all copies addressed to that shard. `skip` (empty = send
+  /// to all) is a per-row mask aligned with the sender's sorted neighbor
+  /// row: neighbor i is left out when skip[i] != 0 — how a protocol stops
+  /// talking to neighbors it knows have left.
+  void send_to_all_neighbors(std::span<const std::uint64_t> words,
+                             std::span<const char> skip = {});
 
-  void send_to_all_neighbors(std::initializer_list<std::uint64_t> words) {
+  void send_to_all_neighbors(std::initializer_list<std::uint64_t> words,
+                             std::span<const char> skip = {}) {
     send_to_all_neighbors(
-        std::span<const std::uint64_t>(words.begin(), words.size()));
+        std::span<const std::uint64_t>(words.begin(), words.size()), skip);
   }
 
   /// Asks the engine to run this vertex again `rounds` rounds from now

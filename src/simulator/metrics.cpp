@@ -14,6 +14,17 @@ const char* run_status_name(RunStatus status) {
   return "unknown";
 }
 
+void SimMetrics::add_work(const SimMetrics& later) {
+  rounds += later.rounds;
+  messages += later.messages;
+  words += later.words;
+  max_message_words = std::max(max_message_words, later.max_message_words);
+  messages_per_round.insert(messages_per_round.end(),
+                            later.messages_per_round.begin(),
+                            later.messages_per_round.end());
+  vertex_activations += later.vertex_activations;
+}
+
 double SimMetrics::avg_messages_per_round() const {
   if (rounds == 0) return 0.0;
   return static_cast<double>(messages) / static_cast<double>(rounds);

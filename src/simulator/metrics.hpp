@@ -82,10 +82,18 @@ struct SimMetrics {
   /// was DELIVERED, post-faults.
   FaultCounters faults;
 
-  /// Per-round fault counters (index = round). Populated only when the
+  /// Per-round fault counters (index = round; a recovered DistributedRun
+  /// keeps its final attempt's, like `faults`). Populated only when the
   /// attached transport is lossy; empty otherwise, so reliable runs keep
   /// their zero-allocation steady state.
   std::vector<FaultCounters> faults_per_round;
+
+  /// Adds a later run's work — rounds, messages, words, activations, the
+  /// per-round message series (appended) and the widest message — so a
+  /// run made of several engine runs (the carve layer's recovery
+  /// attempts) reports all it executed. Status and fault fields are left
+  /// alone: the caller decides which run they describe.
+  void add_work(const SimMetrics& later);
 
   /// Average messages per round; 0 if no rounds elapsed.
   double avg_messages_per_round() const;

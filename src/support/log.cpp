@@ -1,12 +1,13 @@
 #include "support/log.hpp"
 
+#include <atomic>
 #include <iostream>
 
 namespace dsnd {
 
 namespace {
 
-LogLevel g_level = LogLevel::kOff;
+std::atomic<LogLevel> g_level{LogLevel::kOff};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -26,14 +27,21 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
+void set_log_level(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
 
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void log_message(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
-  if (g_level == LogLevel::kOff) return;
-  std::cerr << '[' << level_name(level) << "] " << message << '\n';
+  const LogLevel threshold = log_level();
+  if (threshold == LogLevel::kOff ||
+      static_cast<int>(level) < static_cast<int>(threshold)) {
+    return;
+  }
+  const std::string line =
+      std::string("[") + level_name(level) + "] " + message + '\n';
+  std::cerr.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 }  // namespace dsnd

@@ -4,9 +4,13 @@
 // One global threshold (set_log_level), one sink (stderr), and the
 // DSND_LOG_{DEBUG,INFO,WARN,ERROR} stream macros: each builds its line in
 // a temporary and hands it to log_message at end of statement, which
-// drops it if the level is below the threshold. There is deliberately no timestamping or threading
-// support: the library is single-threaded per run and the simulated
-// round/phase counters are the meaningful "time" to print.
+// drops it if the level is below the threshold. Lines may come from
+// several threads at once — the engine's worker pool and concurrent
+// DecompositionService requests — so the threshold is atomic and each
+// line reaches stderr in one write; lines from different threads may
+// interleave, but never within a line. There is deliberately no
+// timestamping: the simulated round/phase counters are the meaningful
+// "time" to print.
 #pragma once
 
 #include <sstream>

@@ -54,8 +54,12 @@ void WorkerPool::worker_loop(const unsigned w) {
     served = epoch;
     if (stop_.load(std::memory_order_acquire)) return;
     job_(job_ctx_, w);
-    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        driver_parked_.load(std::memory_order_acquire)) {
+    // seq_cst on both accesses of this handshake (and on the driver's
+    // pair in dispatch): with weaker orders the driver's parked store may
+    // be ordered after its outstanding_ load, so each side could miss
+    // the other's write and the parked driver would never be woken.
+    if (outstanding_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+        driver_parked_.load(std::memory_order_seq_cst)) {
       // Last one out wakes a parked driver. Taking the mutex orders the
       // notify after the driver's predicate check, so it cannot be lost;
       // a driver still spinning never sets driver_parked_ and skips this.
@@ -82,9 +86,11 @@ void WorkerPool::dispatch(void (*job)(void*, unsigned), void* ctx) {
       continue;
     }
     std::unique_lock lock(mutex_);
-    driver_parked_.store(true, std::memory_order_release);
+    // Store-then-load, both seq_cst: the store cannot be reordered after
+    // the predicate's load (see worker_loop for the other half).
+    driver_parked_.store(true, std::memory_order_seq_cst);
     cv_done_.wait(lock, [&] {
-      return outstanding_.load(std::memory_order_relaxed) == 0;
+      return outstanding_.load(std::memory_order_seq_cst) == 0;
     });
     driver_parked_.store(false, std::memory_order_release);
     break;

@@ -18,7 +18,11 @@
 // every worker's decrement (RMWs extend the release sequence), so all
 // shard state written by a job is visible to the driver when run()
 // returns — the same happens-before the old per-run condvar barrier
-// provided, without its two syscalls per stage.
+// provided, without its two syscalls per stage. The park handshake is a
+// Dekker pair — the driver stores `driver_parked_` then loads
+// `outstanding_`, the last worker decrements `outstanding_` then loads
+// `driver_parked_` — so all four accesses are seq_cst: anything weaker
+// lets both loads miss both writes and strands a parked driver.
 #pragma once
 
 #include <atomic>

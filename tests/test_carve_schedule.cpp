@@ -7,7 +7,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "decomposition/carving_protocol.hpp"
 #include "decomposition/elkin_neiman.hpp"
 #include "decomposition/high_radius.hpp"
 #include "decomposition/multistage.hpp"
@@ -30,7 +33,8 @@ TEST(CarveSchedule, Theorem1FactoryMatchesFormulas) {
   EXPECT_DOUBLE_EQ(s.k, static_cast<double>(k));
   EXPECT_DOUBLE_EQ(s.bounds.strong_diameter, 2.0 * k - 2.0);
   EXPECT_DOUBLE_EQ(s.bounds.colors, static_cast<double>(s.target_phases()));
-  EXPECT_DOUBLE_EQ(s.bounds.rounds, k * s.bounds.colors);
+  // ceil(k) broadcast rounds plus the announcement round per phase.
+  EXPECT_DOUBLE_EQ(s.bounds.rounds, (k + 1.0) * s.bounds.colors);
   EXPECT_DOUBLE_EQ(s.bounds.success_probability, 1.0 - 3.0 / c);
 }
 
@@ -81,7 +85,40 @@ TEST(CarveSchedule, Theorem3RealKRounds) {
   EXPECT_DOUBLE_EQ(s.radius_overflow_at, k + 1.0);
   EXPECT_DOUBLE_EQ(s.bounds.strong_diameter, 2.0 * k);
   EXPECT_DOUBLE_EQ(s.bounds.colors, static_cast<double>(lambda));
-  EXPECT_DOUBLE_EQ(s.bounds.rounds, lambda * k);
+  EXPECT_DOUBLE_EQ(s.bounds.rounds, lambda * (std::ceil(k) + 1.0));
+}
+
+TEST(CarveSchedule, RunsWithoutRetriesMeetTheRoundBound) {
+  // The round bound counts the announcement round of every phase, so a
+  // run inside the theorem's success event meets it as stated, with no
+  // per-phase slack: rounds_with_retries(0) when no phase was replayed.
+  // Theorem 3 runs that use all lambda phases exceed lambda * k, the
+  // bound that left the announcement round out.
+  const VertexId n = 300;
+  const std::vector<CarveSchedule> schedules = {
+      theorem1_schedule(n, 0, 4.0), theorem1_schedule(n, 4, 4.0),
+      theorem3_schedule(n, 2, 4.0), theorem3_schedule(n, 3, 4.0)};
+  int checked_without_retries = 0;
+  for (const GraphFamily& family : standard_families()) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const Graph g = family.make(n, seed);
+      for (const CarveSchedule& schedule : schedules) {
+        const DistributedRun run =
+            run_schedule_distributed(g, schedule, seed);
+        const CarveResult& carve = run.run.carve;
+        if (!carve.exhausted_within_target) continue;
+        const std::string label =
+            family.name + " " + schedule.name + " seed " + std::to_string(seed);
+        // extra_rounds is 0 when no phase was replayed.
+        const double bound =
+            schedule.bounds.rounds_with_retries(carve.extra_rounds);
+        EXPECT_LE(static_cast<double>(carve.rounds), bound) << label;
+        EXPECT_LE(static_cast<double>(run.sim.rounds), bound) << label;
+        if (carve.retries == 0) ++checked_without_retries;
+      }
+    }
+  }
+  EXPECT_GT(checked_without_retries, 100);
 }
 
 TEST(CarveSchedule, ParamsLowersScheduleVerbatim) {
