@@ -60,9 +60,10 @@ class LubyProtocol final : public Protocol {
       // Local maximum among undecided neighbors joins the MIS.
       bool wins = true;
       for (const MessageView& msg : inbox) {
-        if (msg.words.empty() || msg.words[0] != kTagPriority) continue;
-        const std::uint64_t their_priority = msg.words[1];
-        const auto their_id = static_cast<VertexId>(msg.words[2]);
+        const std::span<const std::uint64_t> words = msg.words();
+        if (words.empty() || words[0] != kTagPriority) continue;
+        const std::uint64_t their_priority = words[1];
+        const auto their_id = static_cast<VertexId>(words[2]);
         if (their_priority > priority_[vi] ||
             (their_priority == priority_[vi] && their_id > v)) {
           wins = false;
@@ -87,7 +88,7 @@ class LubyProtocol final : public Protocol {
     // notification is needed for the next iteration's comparison.
     if (state_[vi] != NodeState::kUndecided) return;
     for (const MessageView& msg : inbox) {
-      if (!msg.words.empty() && msg.words[0] == kTagIn) {
+      if (!msg.words().empty() && msg.words()[0] == kTagIn) {
         state_[vi] = NodeState::kOut;
         ++accum.decided;
         return;

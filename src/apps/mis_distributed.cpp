@@ -89,39 +89,40 @@ class MisPipelineProtocol final : public Protocol {
     // decisions announced by neighbors, tree adoption, buffered
     // convergecast payloads.
     for (const MessageView& msg : inbox) {
-      if (msg.words.empty()) continue;
-      switch (msg.words[0]) {
+      const std::span<const std::uint64_t> words = msg.words();
+      if (words.empty()) continue;
+      switch (words[0]) {
         case kTagAnnounce:
-          if (msg.words[1] != 0) neighbor_in_mis_[vi] = 1;
+          if (words[1] != 0) neighbor_in_mis_[vi] = 1;
           break;
         case kTagTree:
-          if (static_cast<ClusterId>(msg.words[1]) == cluster &&
+          if (static_cast<ClusterId>(words[1]) == cluster &&
               depth_[vi] == -1 && my_class == class_index) {
             depth_[vi] = step;  // tree messages sent at step d arrive d+1
             parent_[vi] = msg.from;
           }
           break;
         case kTagGather:
-          for (std::size_t i = 2; i < msg.words.size();) {
+          for (std::size_t i = 2; i < words.size();) {
             GatherRecord record;
-            record.vertex = static_cast<VertexId>(msg.words[i++]);
-            record.blocked = msg.words[i++] != 0;
-            const auto count = static_cast<std::size_t>(msg.words[i++]);
+            record.vertex = static_cast<VertexId>(words[i++]);
+            record.blocked = words[i++] != 0;
+            const auto count = static_cast<std::size_t>(words[i++]);
             for (std::size_t j = 0; j < count; ++j) {
               record.internal_neighbors.push_back(
-                  static_cast<VertexId>(msg.words[i++]));
+                  static_cast<VertexId>(words[i++]));
             }
             pending_records_[vi].push_back(std::move(record));
           }
           break;
         case kTagDecide:
-          for (std::size_t i = 2; i + 1 < msg.words.size(); i += 2) {
-            if (static_cast<VertexId>(msg.words[i]) == v) {
-              decide(vi, msg.words[i + 1] != 0, out.worker());
+          for (std::size_t i = 2; i + 1 < words.size(); i += 2) {
+            if (static_cast<VertexId>(words[i]) == v) {
+              decide(vi, words[i + 1] != 0, out.worker());
             }
           }
           relay_decisions_[vi] = StoredDecision{
-              msg.from, {msg.words.begin(), msg.words.end()}};
+              msg.from, {words.begin(), words.end()}};
           break;
         default:
           DSND_CHECK(false, "unknown pipeline message tag");

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <sstream>
+#include <stdexcept>
 
 #include "support/assert.hpp"
 
@@ -21,6 +24,30 @@ CarveParams CarveSchedule::params(std::uint64_t seed,
   p.run_to_completion = run_to_completion;
   p.seed = seed;
   return p;
+}
+
+void require_schedule_size(const char* theorem, const char* param,
+                           double value, VertexId n, double c,
+                           double phases, double phase_rounds) {
+  const double cn = c * static_cast<double>(n);
+  // Written as !(x <= cap) so that NaN fails too.
+  const bool cn_ok = std::isfinite(cn);
+  const bool phases_ok = phases <= kMaxSchedulePhases;
+  const bool rounds_ok = phase_rounds <= kMaxPhaseRounds;
+  if (cn_ok && phases_ok && rounds_ok) return;
+  std::ostringstream message;
+  // Ten digits print every int32 input and both caps exactly.
+  message << std::setprecision(10) << theorem << "(n=" << n << ", " << param << "=" << value
+          << ", c=" << c << "): ";
+  if (!cn_ok) {
+    message << "c * n = " << cn << " is not finite";
+  } else if (!phases_ok) {
+    message << phases << " phases, above the cap of " << kMaxSchedulePhases;
+  } else {
+    message << phase_rounds << " rounds per phase, above the cap of "
+            << kMaxPhaseRounds;
+  }
+  throw std::invalid_argument(message.str());
 }
 
 std::size_t CarveSchedule::round_budget(VertexId num_vertices) const {

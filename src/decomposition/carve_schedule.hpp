@@ -120,6 +120,23 @@ struct CarveSchedule {
   std::size_t round_budget(VertexId num_vertices) const;
 };
 
+/// Caps on what a theorem schedule derives from (n, k, c, lambda): the
+/// phase count sizes `betas` and the color budget, and the broadcast
+/// rounds per phase size every shard's wake calendar. Both grow without
+/// bound in c and in k or 1/lambda.
+inline constexpr double kMaxSchedulePhases = 1 << 22;
+inline constexpr double kMaxPhaseRounds = 1 << 16;
+
+/// The theorem factories' size check, run before anything is cast to an
+/// int or allocated: throws std::invalid_argument unless c * n is finite,
+/// `phases` <= kMaxSchedulePhases and `phase_rounds` <= kMaxPhaseRounds.
+/// The message names the theorem, its inputs and the derived value that
+/// is out of range (never a source location), e.g. "theorem1(n=200,
+/// k=1, c=1e+12): 6.585867696e+15 phases, above the cap of 4194304".
+void require_schedule_size(const char* theorem, const char* param,
+                           double value, VertexId n, double c,
+                           double phases, double phase_rounds);
+
 /// Applies an entry point's overflow-recovery knobs to a derived
 /// schedule — the one place options-level policy meets the schedule, so
 /// every theorem wrapper (centralized and distributed) stays in sync.

@@ -230,7 +230,7 @@ class CarvingProtocol final : public Protocol {
     // transport may deliver them at any later step: record them before
     // anything else, so every send below skips the neighbors known gone.
     for (const MessageView& msg : inbox) {
-      if (!msg.words.empty() && msg.words[0] == kTagLeave) {
+      if (!msg.words().empty() && msg.words()[0] == kTagLeave) {
         departed_.record(v, msg.from);
       }
     }
@@ -265,12 +265,13 @@ class CarvingProtocol final : public Protocol {
 
     for (const MessageView& msg : inbox) {
       // Leaves were recorded above; only entries merge.
-      if (msg.words.empty() || msg.words[0] != kTagEntry) continue;
-      DSND_CHECK(msg.words.size() == 4, "malformed entry message");
+      const std::span<const std::uint64_t> words = msg.words();
+      if (words.empty() || words[0] != kTagEntry) continue;
+      DSND_CHECK(words.size() == 4, "malformed entry message");
       CarveEntry entry;
-      entry.center = static_cast<VertexId>(msg.words[1]);
-      entry.radius = unpack_double(msg.words[2]);
-      entry.dist = static_cast<std::int32_t>(msg.words[3]);
+      entry.center = static_cast<VertexId>(words[1]);
+      entry.radius = unpack_double(words[2]);
+      entry.dist = static_cast<std::int32_t>(words[3]);
       merge(vi, entry);
     }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "service/decomposition_service.hpp"
 #include "support/assert.hpp"
 
 namespace dsnd {
@@ -22,6 +21,8 @@ CarveSchedule theorem3_schedule(VertexId n, std::int32_t lambda, double c) {
   // beta = ln(cn)/k = (cn)^{-1/lambda}: per-phase join probability
   // e^{-beta} is a constant close to 1, so lambda phases suffice.
   const double beta = std::log(cn) / k;
+  require_schedule_size("theorem3", "lambda", lambda, n, c, lambda,
+                        std::ceil(k));
 
   CarveSchedule schedule;
   schedule.name = "theorem3(lambda=" + std::to_string(lambda) + ")";
@@ -42,7 +43,7 @@ CarveSchedule theorem3_schedule(VertexId n, std::int32_t lambda, double c) {
 DecompositionRun high_radius_decomposition(const Graph& g,
                                            const HighRadiusOptions& options) {
   DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
-  return DecompositionService::run_once_centralized(
+  return run_schedule(
       g,
       with_overflow_policy(
           theorem3_schedule(g.num_vertices(), options.lambda, options.c),

@@ -56,7 +56,7 @@ class LinialSaksProtocol final : public Protocol {
     // Leaves arrive at the next phase's step 0: record them first, so
     // this vertex never floods a neighbor that has already left.
     for (const MessageView& msg : inbox) {
-      if (!msg.words.empty() && msg.words[0] == kTagLeave) {
+      if (!msg.words().empty() && msg.words()[0] == kTagLeave) {
         departed_.record(v, msg.from);
       }
     }
@@ -78,12 +78,13 @@ class LinialSaksProtocol final : public Protocol {
     }
 
     for (const MessageView& msg : inbox) {
-      if (msg.words.empty() || msg.words[0] != kTagEntry) continue;
-      DSND_CHECK(msg.words.size() == 4, "malformed LS entry message");
+      const std::span<const std::uint64_t> words = msg.words();
+      if (words.empty() || words[0] != kTagEntry) continue;
+      DSND_CHECK(words.size() == 4, "malformed LS entry message");
       LsEntry entry;
-      entry.id = static_cast<VertexId>(msg.words[1]);
-      entry.radius = static_cast<std::int32_t>(msg.words[2]);
-      entry.dist = static_cast<std::int32_t>(msg.words[3]);
+      entry.id = static_cast<VertexId>(words[1]);
+      entry.radius = static_cast<std::int32_t>(words[2]);
+      entry.dist = static_cast<std::int32_t>(words[3]);
       if (insert(vi, entry) && step < k_) forward(v, entry, out);
     }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "service/decomposition_service.hpp"
 #include "support/assert.hpp"
 
 namespace dsnd {
@@ -16,14 +15,20 @@ std::vector<double> multistage_beta_schedule(VertexId n, std::int32_t k,
   const double cn = c * static_cast<double>(n);
   const auto stages = static_cast<std::int32_t>(
       std::floor(std::log(std::max<VertexId>(n, 2))));
+  const auto stage_phases = [&](std::int32_t i) {
+    // Stage i: s_i phases with beta_i = ln(cn/e^i)/k = (ln(cn) - i)/k.
+    const double stage_cn = cn / std::exp(static_cast<double>(i));
+    return std::ceil(2.0 * std::pow(stage_cn, 1.0 / static_cast<double>(k)));
+  };
+  double total_phases = 0.0;
+  for (std::int32_t i = 0; i <= stages; ++i) total_phases += stage_phases(i);
+  require_schedule_size("theorem2", "k", k, n, c, total_phases, k);
   std::vector<double> betas;
   for (std::int32_t i = 0; i <= stages; ++i) {
-    // Stage i: s_i phases with beta_i = ln(cn/e^i)/k = (ln(cn) - i)/k.
     const double stage_cn = cn / std::exp(static_cast<double>(i));
     const double beta = std::log(stage_cn) / static_cast<double>(k);
     DSND_CHECK(beta > 0.0, "stage beta must stay positive");
-    const auto phases = static_cast<std::int32_t>(std::ceil(
-        2.0 * std::pow(stage_cn, 1.0 / static_cast<double>(k))));
+    const auto phases = static_cast<std::int32_t>(stage_phases(i));
     for (std::int32_t t = 0; t < phases; ++t) betas.push_back(beta);
   }
   return betas;
@@ -54,7 +59,7 @@ CarveSchedule theorem2_schedule(VertexId n, std::int32_t k, double c) {
 DecompositionRun multistage_decomposition(const Graph& g,
                                           const MultistageOptions& options) {
   DSND_REQUIRE(g.num_vertices() >= 1, "graph must be nonempty");
-  return DecompositionService::run_once_centralized(
+  return run_schedule(
       g,
       with_overflow_policy(
           theorem2_schedule(g.num_vertices(), options.k, options.c),

@@ -1,13 +1,15 @@
 #include "graph/power.hpp"
 
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/assert.hpp"
 
 namespace dsnd {
 
-Graph graph_power(const Graph& g, std::int32_t t) {
+Graph graph_power(const Graph& g, std::int32_t t, std::size_t max_edges) {
   DSND_REQUIRE(t >= 1, "power must be at least 1");
   const auto n = static_cast<std::size_t>(g.num_vertices());
   std::vector<Edge> edges;
@@ -24,7 +26,14 @@ Graph graph_power(const Graph& g, std::int32_t t) {
       const VertexId u = frontier.front();
       frontier.pop();
       const std::int32_t du = dist[static_cast<std::size_t>(u)];
-      if (u > v) edges.push_back({v, u});
+      if (u > v) {
+        if (edges.size() == max_edges) {
+          throw std::invalid_argument(
+              "G^" + std::to_string(t) + " has more than " +
+              std::to_string(max_edges) + " edges");
+        }
+        edges.push_back({v, u});
+      }
       if (du == t) continue;
       for (VertexId w : g.neighbors(u)) {
         if (dist[static_cast<std::size_t>(w)] != -1) continue;

@@ -7,13 +7,21 @@
 // because the carving algorithms want adjacency lists.
 #pragma once
 
+#include <cstddef>
+#include <limits>
+
 #include "graph/graph.hpp"
 
 namespace dsnd {
 
 /// Builds G^t by a depth-limited BFS from every vertex; O(n * m) for
 /// small t, O(n^2) memory in the worst case — intended for the
-/// simulation scales of this library.
-Graph graph_power(const Graph& g, std::int32_t t);
+/// simulation scales of this library. Throws std::invalid_argument as
+/// soon as G^t would hold more than `max_edges` edges, so a refused
+/// power never holds more than that many; the message names t and the
+/// cap, never a source location.
+Graph graph_power(
+    const Graph& g, std::int32_t t,
+    std::size_t max_edges = std::numeric_limits<std::size_t>::max());
 
 }  // namespace dsnd

@@ -107,7 +107,8 @@ std::shared_ptr<const ServiceResult> DecompositionService::execute(
     // registered graph, so the pooled context does not apply; the
     // centralized backend produces the identical clustering (the PR 3
     // parity contract) without a throwaway engine build.
-    power_storage.emplace(graph_power(g, 2 * request.cover_radius + 1));
+    power_storage.emplace(graph_power(g, 2 * request.cover_radius + 1,
+                                      options_.max_cover_edges));
     carved_graph = &*power_storage;
     result->run.run = run_schedule(*carved_graph, request.schedule,
                                    request.seed, request.run_to_completion,
@@ -129,21 +130,18 @@ std::shared_ptr<const ServiceResult> DecompositionService::execute(
   }
 
   status = carve_status_name(result->run.run.carve.status);
-  if (options_.validate_responses) {
-    const FastDecompositionReport report = validate_decomposition_fast(
-        *carved_graph, result->run.run.clustering());
-    const bool clustering_ok =
-        report.complete && report.proper_phase_coloring &&
-        report.all_clusters_connected && report.centerless_clusters == 0;
-    if (result->run.run.carve.status == CarveStatus::kOk &&
-        !clustering_ok) {
-      // The never-silently-invalid contract: a run that claimed ok but
-      // fails external validation is flagged, never served as good and
-      // never cached. (Named failures keep their status string.)
-      valid = false;
-      status = "INVALID";
-      return result;
-    }
+  const FastDecompositionReport report = validate_decomposition_fast(
+      *carved_graph, result->run.run.clustering());
+  const bool clustering_ok =
+      report.complete && report.proper_phase_coloring &&
+      report.all_clusters_connected && report.centerless_clusters == 0;
+  if (result->run.run.carve.status == CarveStatus::kOk && !clustering_ok) {
+    // The never-silently-invalid contract: a run that claimed ok but
+    // fails external validation is flagged, never served as good and
+    // never cached. (Named failures keep their status string.)
+    valid = false;
+    status = "INVALID";
+    return result;
   }
   valid = true;
 
@@ -284,41 +282,6 @@ std::vector<ServiceResponse> DecompositionService::submit_batch(
     if (error) std::rethrow_exception(error);
   }
   return responses;
-}
-
-DecompositionRun DecompositionService::run_once_centralized(
-    const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
-    bool run_to_completion, double margin) {
-  ServiceOptions options;
-  options.cache_capacity = 0;
-  options.validate_responses = false;
-  DecompositionService service(options);
-  service.register_graph_view("g", g);
-  ServiceRequest request;
-  request.graph_id = "g";
-  request.schedule = schedule;
-  request.seed = seed;
-  request.backend = ServiceBackend::kCentralized;
-  request.run_to_completion = run_to_completion;
-  request.margin = margin;
-  return service.submit(request).result->run.run;
-}
-
-DistributedRun DecompositionService::run_once_distributed(
-    const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
-    const EngineOptions& engine_options) {
-  ServiceOptions options;
-  options.engine = engine_options;
-  options.cache_capacity = 0;
-  options.validate_responses = false;
-  DecompositionService service(options);
-  service.register_graph_view("g", g);
-  ServiceRequest request;
-  request.graph_id = "g";
-  request.schedule = schedule;
-  request.seed = seed;
-  request.backend = ServiceBackend::kDistributed;
-  return service.submit(request).result->run;
 }
 
 ServiceStats DecompositionService::stats() const {

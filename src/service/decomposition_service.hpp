@@ -33,9 +33,8 @@
 // every (graph, schedule, seed), every thread count, every submission
 // order, and every warm/cold state — that is the existing engine
 // contract, which makes caching and warm scheduling sound in the first
-// place. The six theorem entry points in decomposition/ are thin
-// wrappers over submissions to an ephemeral borrowing service, so every
-// caller in the tree goes through this path.
+// place. The service sits above decomposition/: it calls run_schedule
+// and run_schedule_distributed, never the reverse.
 #pragma once
 
 #include <cstdint>
@@ -124,11 +123,11 @@ struct ServiceOptions {
   EngineOptions engine;
   /// Result-cache entries to retain (LRU); 0 disables caching.
   std::size_t cache_capacity = 64;
-  /// Gate every executed response through validate_decomposition_fast.
-  /// The theorem wrappers turn this off: their callers validate
-  /// themselves, and ablation requests (margin < 1, kTruncate, no
-  /// run_to_completion) legitimately fail the gate.
-  bool validate_responses = true;
+  /// Edge budget of a cover request's power graph G^{2W+1}: a request
+  /// whose power graph would exceed it is refused (std::invalid_argument)
+  /// with at most this many edges built. G^{2W+1} grows toward n^2 / 2
+  /// edges as W grows; the default is 512 MiB of edge list.
+  std::size_t max_cover_edges = std::size_t{1} << 26;
 };
 
 struct ServiceStats {
@@ -156,8 +155,8 @@ class DecompositionService {
   /// built on it lets go, so replacement is race-free). Returns its
   /// fingerprint.
   std::uint64_t register_graph(const std::string& graph_id, Graph graph);
-  /// Borrowing twin for callers that already own the graph (the theorem
-  /// wrappers): no copy; the graph must outlive the service — not just
+  /// Borrowing twin for callers that already own the graph: no copy;
+  /// the graph must outlive the service — not just
   /// the registration, since warm contexts may keep referencing it
   /// after the id is re-registered.
   std::uint64_t register_graph_view(const std::string& graph_id,
@@ -185,22 +184,6 @@ class DecompositionService {
       const std::vector<ServiceRequest>& requests);
 
   ServiceStats stats() const;
-
-  /// One-shot submission paths for the theorem entry-point wrappers in
-  /// decomposition/: an ephemeral borrowing service (cache off,
-  /// validation off — the wrappers' callers validate themselves, and
-  /// ablation knobs may legitimately fail the gate) executes a single
-  /// request and returns the run. Bit-identical to the pre-service
-  /// entry points by construction: the service path runs the same
-  /// run_schedule / CarveContext machinery.
-  static DecompositionRun run_once_centralized(const Graph& g,
-                                               const CarveSchedule& schedule,
-                                               std::uint64_t seed,
-                                               bool run_to_completion,
-                                               double margin);
-  static DistributedRun run_once_distributed(
-      const Graph& g, const CarveSchedule& schedule, std::uint64_t seed,
-      const EngineOptions& engine_options);
 
  private:
   struct RegisteredGraph {

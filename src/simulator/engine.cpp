@@ -52,7 +52,8 @@ bool Outbox::is_neighbor(VertexId to) {
 void Outbox::send(VertexId to, std::span<const std::uint64_t> words) {
   DSND_REQUIRE(is_neighbor(to), "protocol tried to send to a non-neighbor");
   detail::ShardBucket& bucket = staging_.buckets[engine_.shard_of(to)];
-  const std::size_t begin = bucket.words.size();
+  const std::uint32_t begin =
+      detail::arena_offset(bucket.words.size(), words.size());
   bucket.words.insert(bucket.words.end(), words.begin(), words.end());
   bucket.headers.push_back(detail::MsgHeader{
       sender_, to, static_cast<std::uint32_t>(words.size()), begin});
@@ -69,14 +70,14 @@ void Outbox::send_to_all_neighbors(std::span<const std::uint64_t> words,
   const auto length = static_cast<std::uint32_t>(words.size());
   unsigned shard = ~0u;
   detail::ShardBucket* bucket = nullptr;
-  std::size_t begin = 0;
+  std::uint32_t begin = 0;
   for (std::size_t i = 0; i < neighbors_.size(); ++i) {
     if (!skip.empty() && skip[i] != 0) continue;
     const VertexId to = neighbors_[i];
     if (const unsigned s = engine_.shard_of(to); s != shard) {
       shard = s;
       bucket = &staging_.buckets[s];
-      begin = bucket->words.size();
+      begin = detail::arena_offset(bucket->words.size(), words.size());
       bucket->words.insert(bucket->words.end(), words.begin(), words.end());
     }
     bucket->headers.push_back(detail::MsgHeader{sender_, to, length, begin});
@@ -126,11 +127,9 @@ SyncEngine::SyncEngine(const Graph& g, EngineOptions options)
                  static_cast<VertexId>(shards_[s].begin + shard_width_));
     shards_[s].wake_ring.resize(64);
   }
-  for (auto& parity : staging_) {
-    parity.resize(workers_);
-    for (detail::SendStaging& staging : parity) {
-      staging.buckets.resize(workers_);
-    }
+  staging_.resize(workers_);
+  for (detail::SendStaging& staging : staging_) {
+    staging.buckets.resize(workers_);
   }
   worker_errors_.resize(workers_);
   if (workers_ > 1) pool_.emplace(workers_);
@@ -144,9 +143,7 @@ void SyncEngine::reset(Protocol& protocol) {
   round_messages_.clear();
   round_faults_.clear();
 
-  for (auto& parity : staging_) {
-    for (detail::SendStaging& staging : parity) staging.clear_round();
-  }
+  for (detail::SendStaging& staging : staging_) staging.clear_round();
   for (detail::Shard& shard : shards_) {
     for (const VertexId to : shard.touched) {
       inbox_len_[static_cast<std::size_t>(to)] = 0;
@@ -182,8 +179,8 @@ void SyncEngine::run_vertex(Protocol& protocol, VertexId v,
 }
 
 void SyncEngine::execute_shard(Protocol& protocol, unsigned s,
-                               unsigned parity, bool use_active) {
-  detail::SendStaging& staging = staging_[parity][s];
+                               bool use_active) {
+  detail::SendStaging& staging = staging_[s];
   staging.clear_round();
   const detail::Shard& shard = shards_[s];
   if (use_active) {
@@ -218,7 +215,7 @@ void SyncEngine::ring_insert(detail::Shard& shard, const std::uint64_t target,
   ++shard.pending_wakes;
 }
 
-void SyncEngine::collect_shard(unsigned s, unsigned parity, bool deliver) {
+void SyncEngine::collect_shard(unsigned s, bool deliver) {
   detail::Shard& shard = shards_[s];
 
   // The inbox index consumed this round is dead; zero its slots so the
@@ -268,12 +265,13 @@ void SyncEngine::collect_shard(unsigned s, unsigned parity, bool deliver) {
     // inbox in a shard-count-invariant order (the reliable transport's
     // slices are the source buckets in worker order — the serial
     // vertex-order send sequence). Views alias the delivering arenas
-    // directly — payload words are never copied again.
+    // directly — payload words are never copied again — and carry all a
+    // receiver needs, so the headers are dead after this pass.
     shard.inbox_views.resize(messages);
     for (const TransportSlice& slice : delivered) {
       for (const detail::MsgHeader& h : slice.headers) {
         shard.inbox_views[inbox_fill_[static_cast<std::size_t>(h.to)]++] =
-            MessageView{h.from, {slice.words + h.word_begin, h.length}};
+            MessageView{slice.words + h.word_begin, h.from, h.length};
       }
     }
   }
@@ -292,7 +290,7 @@ void SyncEngine::collect_shard(unsigned s, unsigned parity, bool deliver) {
   // simply dropped with the rest of the staging.
   if (scheduled_) {
     for (unsigned w = 0; w < workers_; ++w) {
-      for (const auto& [target, v] : staging_[parity][w].buckets[s].wakes) {
+      for (const auto& [target, v] : staging_[w].buckets[s].wakes) {
         ring_insert(shard, target, v);
       }
     }
@@ -353,13 +351,13 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t max_rounds) {
   // thread spawn/join and the condvar double-barrier per stage.
   RoundPool round_pool(pool_.has_value() ? &*pool_ : nullptr);
 
-  const auto run_stage = [&](unsigned s, bool collect, unsigned parity,
-                             bool use_active, bool deliver) {
+  const auto run_stage = [&](unsigned s, bool collect, bool use_active,
+                             bool deliver) {
     try {
       if (collect) {
-        collect_shard(s, parity, deliver);
+        collect_shard(s, deliver);
       } else {
-        execute_shard(protocol, s, parity, use_active);
+        execute_shard(protocol, s, use_active);
       }
     } catch (...) {
       worker_errors_[s] = std::current_exception();
@@ -393,7 +391,6 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t max_rounds) {
     // fills across the parked workers before the round proper starts.
     protocol.on_round_begin(current_round_, round_pool);
 
-    const auto parity = static_cast<unsigned>(current_round_ & 1);
     // Set after the execute stage: a quiet round — nothing staged,
     // nothing in flight in the transport — skips exchange+deliver
     // outright (and, in the parallel path, usually the collect barrier
@@ -405,10 +402,8 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t max_rounds) {
       // staging — bucket routing keeps delivery and wake ownership
       // exactly as in the parallel path — and collects run in shard
       // order on this thread.
-      for (unsigned w = 1; w < workers_; ++w) {
-        staging_[parity][w].clear_round();
-      }
-      detail::SendStaging& staging = staging_[parity][0];
+      for (unsigned w = 1; w < workers_; ++w) staging_[w].clear_round();
+      detail::SendStaging& staging = staging_[0];
       staging.clear_round();
       for (unsigned s = 0; s < workers_; ++s) {
         const detail::Shard& shard = shards_[s];
@@ -423,37 +418,35 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t max_rounds) {
         }
       }
       deliver = !options_.elide_quiet_rounds ||
-                detail::staged_message_count(staging_[parity]) > 0 ||
+                detail::staged_message_count(staging_) > 0 ||
                 transport_->pending() > 0;
-      if (deliver) transport_->exchange(current_round_, staging_[parity]);
-      for (unsigned s = 0; s < workers_; ++s) {
-        collect_shard(s, parity, deliver);
-      }
+      if (deliver) transport_->exchange(current_round_, staging_);
+      for (unsigned s = 0; s < workers_; ++s) collect_shard(s, deliver);
     } else {
       pool_->run([&](unsigned s) {
-        run_stage(s, /*collect=*/false, parity, use_active, true);
+        run_stage(s, /*collect=*/false, use_active, true);
       });
       deliver = !options_.elide_quiet_rounds ||
-                detail::staged_message_count(staging_[parity]) > 0 ||
+                detail::staged_message_count(staging_) > 0 ||
                 transport_->pending() > 0;
       if (deliver) {
         // The exchange runs serially between the two stages: workers are
         // parked, so the transport may inspect every staging bucket (and
         // mutate its own delivery buffers) race-free.
-        transport_->exchange(current_round_, staging_[parity]);
+        transport_->exchange(current_round_, staging_);
         pool_->run([&](unsigned s) {
-          run_stage(s, /*collect=*/true, parity, use_active, true);
+          run_stage(s, /*collect=*/true, use_active, true);
         });
       } else if (total <= kSerialQuietCollect) {
         // Quiet round, small active set: the collect stage is only wake
         // firing and active-list upkeep, so running it inline elides the
         // second barrier entirely.
         for (unsigned s = 0; s < workers_; ++s) {
-          run_stage(s, /*collect=*/true, parity, use_active, false);
+          run_stage(s, /*collect=*/true, use_active, false);
         }
       } else {
         pool_->run([&](unsigned s) {
-          run_stage(s, /*collect=*/true, parity, use_active, false);
+          run_stage(s, /*collect=*/true, use_active, false);
         });
       }
       for (std::exception_ptr& error : worker_errors_) {

@@ -14,8 +14,8 @@
 //
 //   stage 1 (execute): worker w runs the scheduled vertices of shard w.
 //     Sends are routed owner-computes at stage time: worker w keeps one
-//     staging bucket per destination shard (headers + flat payload
-//     words), so a send appends to bucket (w -> shard_of(to)).
+//     staging bucket per destination shard (16-byte headers + flat
+//     payload words), so a send appends to bucket (w -> shard_of(to)).
 //   stage 2 (exchange + deliver): the round boundary hands the staged
 //     buckets to the engine's Transport (see simulator/transport.hpp),
 //     which decides what each destination shard receives — the default
@@ -23,10 +23,12 @@
 //     FaultyTransport may drop/delay/duplicate/reorder them. Worker t
 //     then counting-sorts the headers delivered to shard t — a
 //     fixed-size all-to-all of slices, no global sort, no serial merge —
-//     into shard t's CSR inbox index. Inbox views point straight into
-//     the delivering arenas (zero payload copies on the reliable path);
-//     arenas are double-buffered by round parity so the views stay valid
-//     while the next round stages into the other parity.
+//     into shard t's CSR inbox index of 16-byte MessageViews. Views
+//     point straight into the delivering word arenas (zero payload
+//     copies on the reliable path). Only the words are double-buffered:
+//     a bucket retires its words at the start of the next round, so the
+//     views stay valid while that round runs, while the headers — dead
+//     once sorted into the inbox — are single-buffered.
 //
 // Iterating source buckets in worker order reproduces the serial
 // vertex-order send sequence (shards are ascending contiguous id
@@ -48,7 +50,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <exception>
 #include <initializer_list>
@@ -64,14 +65,19 @@
 
 namespace dsnd {
 
-/// A delivered message: sender plus a view of the payload words. The
-/// span points into the engine's staging arenas and is valid only for
-/// the duration of the on_round() call it was passed to; protocols that
-/// need a payload later must copy the words.
+/// A delivered message: sender plus a view of the payload words, packed
+/// into 16 bytes (the inbox holds one per message of the busiest round).
+/// The payload points into the engine's staging arenas and is valid only
+/// for the duration of the on_round() call it was passed to; protocols
+/// that need a payload later must copy the words.
 struct MessageView {
+  const std::uint64_t* data = nullptr;
   VertexId from = -1;
-  std::span<const std::uint64_t> words;
+  std::uint32_t length = 0;
+
+  std::span<const std::uint64_t> words() const { return {data, length}; }
 };
+static_assert(sizeof(MessageView) == 16);
 
 /// Engine knobs. The default is deterministic single-threaded execution
 /// with active-vertex scheduling.
@@ -329,17 +335,16 @@ class SyncEngine {
   void reset(Protocol& protocol);
   void run_vertex(Protocol& protocol, VertexId v,
                   detail::SendStaging& staging, unsigned worker);
-  /// Stage 1 for one shard: clear this parity's staging and execute the
+  /// Stage 1 for one shard: clear worker s's staging and execute the
   /// shard's scheduled vertices.
-  void execute_shard(Protocol& protocol, unsigned s, unsigned parity,
-                     bool use_active);
+  void execute_shard(Protocol& protocol, unsigned s, bool use_active);
   /// Stage 2 for one shard: counting-sort what the transport delivered
   /// to it into its CSR inbox, fire due wakes (read from the raw staging
   /// buckets, never the transport — self-wakes are local timers and
   /// survive any fault plan), build its next active list. `deliver` is
   /// false on elided quiet rounds: the transport was not exchanged, so
   /// the delivery passes are skipped and only wakes/active lists run.
-  void collect_shard(unsigned s, unsigned parity, bool deliver);
+  void collect_shard(unsigned s, bool deliver);
   void ring_insert(detail::Shard& shard, std::uint64_t target, VertexId v);
 
   const Graph& graph_;
@@ -359,11 +364,10 @@ class SyncEngine {
   bool scheduled_ = false;
   std::size_t current_round_ = 0;
 
-  // Double-buffered staging, indexed [round parity][source worker]. The
-  // parity written this round backs next round's inbox views; the other
-  // parity's views were consumed last round and its buckets are cleared
-  // when stage 1 next writes them.
-  std::array<std::vector<detail::SendStaging>, 2> staging_;
+  // Send staging, one per source worker, cleared once per round. Each
+  // bucket keeps last round's payload words alive (ShardBucket::clear),
+  // which back the inbox views the current round reads.
+  std::vector<detail::SendStaging> staging_;
   std::vector<detail::Shard> shards_;
   std::vector<std::exception_ptr> worker_errors_;
 

@@ -156,14 +156,16 @@ void FaultyTransport::emit(const std::size_t round, const VertexId from,
   const auto length = static_cast<std::uint32_t>(payload.size());
   if (delay == 0) {
     OutBucket& out = out_[round & 1][geometry_.shard_of(to)];
-    const std::size_t begin = out.words.size();
+    const std::uint32_t begin =
+        detail::arena_offset(out.words.size(), payload.size());
     out.words.insert(out.words.end(), payload.begin(), payload.end());
     (reorder ? out.sunk : out.headers)
         .push_back(detail::MsgHeader{from, to, length, begin});
     return;
   }
   DelaySlot& slot = calendar_[(round + delay) & (calendar_.size() - 1)];
-  const std::size_t begin = slot.words.size();
+  const std::uint32_t begin =
+      detail::arena_offset(slot.words.size(), payload.size());
   slot.words.insert(slot.words.end(), payload.begin(), payload.end());
   slot.msgs.push_back(
       DelayedMsg{detail::MsgHeader{from, to, length, begin}, reorder});

@@ -45,38 +45,68 @@
 
 #include "graph/graph.hpp"
 #include "simulator/metrics.hpp"
+#include "support/assert.hpp"
 
 namespace dsnd {
 
 namespace detail {
 
 /// One staged send: receiver, sender, and the payload's location in the
-/// bucket's word arena. 64-bit word offsets keep >4G-word rounds valid.
+/// bucket's word arena. 16 bytes: word offsets are 32-bit, and
+/// arena_offset() refuses an arena that would reach 2^32 words.
 struct MsgHeader {
   VertexId from = -1;
   VertexId to = -1;
   std::uint32_t length = 0;
-  std::size_t word_begin = 0;
+  std::uint32_t word_begin = 0;
 };
+static_assert(sizeof(MsgHeader) == 16);
+
+/// Word arenas (staging buckets, transport copies) stay below 2^32 words
+/// per round so every MsgHeader offset fits in 32 bits.
+inline constexpr std::size_t kArenaWordLimit = std::size_t{1} << 32;
+
+/// The offset at which a payload of `length` words lands when appended
+/// to an arena already holding `arena_words`. Throws (DSND_CHECK) when
+/// the arena would reach kArenaWordLimit, so an offset fails by name
+/// instead of wrapping.
+inline std::uint32_t arena_offset(std::size_t arena_words,
+                                  std::size_t length) {
+  DSND_CHECK(arena_words < kArenaWordLimit &&
+                 length < kArenaWordLimit - arena_words,
+             "a round's word arena would reach 2^32 words");
+  return static_cast<std::uint32_t>(arena_words);
+}
 
 /// One (source worker -> destination shard) staging bucket: headers,
 /// flat payload words, and the wake requests of senders owned by the
 /// destination shard. Capacity persists across rounds.
+///
+/// Only the payload words outlive the round that staged them: inbox
+/// views alias them while the receivers run next round, whereas the
+/// headers are dead once the collect stage has sorted them. So headers
+/// are single-buffered and the words double-buffered: clear() retires
+/// this round's words (an O(1) swap, no allocation) and reuses the
+/// arena retired a round earlier, whose views were consumed last round.
 struct ShardBucket {
   std::vector<MsgHeader> headers;
   std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> retired_words;  // last round's payloads
   std::vector<std::pair<std::uint64_t, VertexId>> wakes;  // (round, vertex)
 
+  /// Call once per round, before the round stages anything: a second
+  /// call would hand last round's still-viewed words back for reuse.
   void clear() {
     headers.clear();
+    words.swap(retired_words);
     words.clear();
     wakes.clear();
   }
 };
 
-/// Per-worker send staging for one round parity: one bucket per
-/// destination shard. With threads > 1 each worker owns one; the round
-/// boundary exchanges bucket slices instead of merging arenas.
+/// Per-worker send staging: one bucket per destination shard. With
+/// threads > 1 each worker owns one; the round boundary exchanges
+/// bucket slices instead of merging arenas.
 struct SendStaging {
   std::vector<ShardBucket> buckets;
 
@@ -94,9 +124,10 @@ std::size_t staged_message_count(std::span<const SendStaging> staging);
 
 /// One contiguous run of delivered messages: headers plus the word arena
 /// their word_begin offsets index into. A shard's inbox is built by
-/// scanning its slices in order; payload views alias `words` directly,
-/// so the transport must keep the arena alive until the NEXT round's
-/// exchange (the engine's double-buffering contract).
+/// scanning its slices in order. The headers need only outlive this
+/// round's collect stage; payload views alias `words` directly, so the
+/// transport must keep the arena alive until the NEXT round's exchange
+/// (the engine's words-only double-buffering contract).
 struct TransportSlice {
   std::span<const detail::MsgHeader> headers;
   const std::uint64_t* words = nullptr;
@@ -129,7 +160,7 @@ class Transport {
   virtual void begin_run(const TransportGeometry& geometry) = 0;
 
   /// Hands the transport this round's staged sends: one SendStaging per
-  /// source worker (the current parity's). The transport prepares what
+  /// source worker. The transport prepares what
   /// each destination shard will receive. Serial, driving thread only.
   ///
   /// Elision contract: on a round where no worker staged a message AND
@@ -147,7 +178,9 @@ class Transport {
 
   /// The slices destination shard `s` receives this round, in delivery
   /// order. Scanning them in order yields every receiver's inbox in its
-  /// final order. Valid until the next exchange() of the same parity.
+  /// final order. The headers are read by this round's collect stage
+  /// only; the words they index must stay valid until the next round's
+  /// exchange().
   virtual std::span<const TransportSlice> delivery(unsigned s) const = 0;
 
   /// Messages accepted but not yet delivered (in-flight delays). The
@@ -260,7 +293,7 @@ struct FaultPlan {
 /// Applies a FaultPlan to whatever an inner transport delivers. The
 /// default inner transport is an owned ReliableTransport; a future
 /// socket/MPI transport slots in unchanged. Surviving payloads are
-/// copied into parity-buffered arenas (delayed ones additionally
+/// copied into round-parity-buffered arenas (delayed ones additionally
 /// through the calendar), so the aliasing lifetime contract of
 /// TransportSlice holds just like the reliable path.
 class FaultyTransport final : public Transport {

@@ -195,5 +195,39 @@ TEST(CarveSchedule, RejectsBadParameters) {
   EXPECT_THROW(empty.params(1), std::invalid_argument);
 }
 
+// Inputs whose derived schedule would overflow an int cast or allocate
+// without bound are refused before anything is built, with a message
+// that names the theorem and the derived value but no source file.
+TEST(CarveSchedule, RefusesSchedulesPastTheSizeCaps) {
+  const auto expect_refused = [](auto make, const std::string& needle) {
+    try {
+      make();
+      ADD_FAILURE() << "accepted: " << needle;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+    }
+  };
+  expect_refused([] { return theorem1_schedule(200, 1, 1e308); },
+                 "is not finite");
+  expect_refused([] { return theorem1_schedule(200, 1, 1e12); },
+                 "phases, above the cap");
+  expect_refused([] { return theorem1_schedule(200, 2000000000, 4.0); },
+                 "rounds per phase, above the cap");
+  expect_refused([] { return theorem2_schedule(200, 1, 1e12); },
+                 "phases, above the cap");
+  expect_refused([] { return theorem2_schedule(200, 1, 1e308); },
+                 "is not finite");
+  expect_refused([] { return theorem3_schedule(200, 2147483647, 4.0); },
+                 "phases, above the cap");
+  expect_refused([] { return theorem3_schedule(1000000, 1, 4.0); },
+                 "rounds per phase, above the cap");
+  // Just inside the caps still builds.
+  EXPECT_EQ(theorem3_schedule(200, 1 << 22, 4.0).target_phases(), 1 << 22);
+  EXPECT_LE(theorem3_schedule(1024, 1, 4.0).phase_rounds, kMaxPhaseRounds);
+  EXPECT_EQ(theorem1_schedule(200, 1 << 16, 4.0).phase_rounds, 1 << 16);
+}
+
 }  // namespace
 }  // namespace dsnd

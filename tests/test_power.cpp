@@ -60,5 +60,13 @@ TEST(GraphPower, RejectsZeroPower) {
   EXPECT_THROW(graph_power(make_path(3), 0), std::invalid_argument);
 }
 
+TEST(GraphPower, EdgeBudgetRefusesALargerPower) {
+  // C_100^10 has 100 * 10 = 1000 edges: a budget of exactly that builds
+  // it, one less refuses it.
+  const Graph g = make_cycle(100);
+  EXPECT_EQ(graph_power(g, 10, 1000).num_edges(), 1000);
+  EXPECT_THROW(graph_power(g, 10, 999), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace dsnd

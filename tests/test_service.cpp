@@ -282,6 +282,26 @@ TEST(Service, DeliverablesMatchTheirStandaloneConstructions) {
   EXPECT_TRUE(report.color_classes_disjoint);
 }
 
+TEST(Service, CoverPastTheEdgeBudgetIsRefused) {
+  // The cover deliverable carves G^{2W+1}; a radius whose power graph
+  // would pass max_cover_edges is refused, and the service keeps serving.
+  ServiceOptions options;
+  options.max_cover_edges = 1000;
+  DecompositionService service(options);
+  const Graph g = make_cycle(100);
+  service.register_graph_view("ring", g);
+  ServiceRequest cover;
+  cover.graph_id = "ring";
+  cover.schedule = theorem1_schedule(100, 0, 4.0);
+  cover.deliverable = Deliverable::kCover;
+  cover.cover_radius = 5;  // G^11: 1100 edges
+  EXPECT_THROW(service.submit(cover), std::invalid_argument);
+  cover.cover_radius = 4;  // G^9: 900 edges
+  const ServiceResponse response = service.submit(cover);
+  EXPECT_TRUE(response.valid);
+  ASSERT_TRUE(response.result->cover.has_value());
+}
+
 TEST(Service, RegisterGraphOwnsItsCopy) {
   DecompositionService service;
   std::uint64_t fingerprint = 0;

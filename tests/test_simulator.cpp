@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "decomposition/elkin_neiman_distributed.hpp"
@@ -16,7 +17,8 @@ namespace {
 /// it. Verifies synchronous one-hop-per-round semantics. Fully
 /// message-driven, so it works under active scheduling: round 0 runs
 /// every vertex (seeding the flood) and afterwards only reached vertices
-/// execute.
+/// execute. The unseen count is atomic: vertices on different workers
+/// decrement it in the same round.
 class FloodProtocol final : public Protocol {
  public:
   void begin(const Graph& g) override {
@@ -51,7 +53,7 @@ class FloodProtocol final : public Protocol {
  private:
   std::vector<std::int32_t> seen_round_;
   std::vector<char> pending_;
-  VertexId unseen_ = 0;
+  std::atomic<VertexId> unseen_{0};
 };
 
 TEST(Simulator, FloodTakesDistanceRounds) {
@@ -154,8 +156,8 @@ class PingPongProtocol final : public Protocol {
     }
     for (const MessageView& m : inbox) {
       received_.push_back({v, static_cast<VertexId>(m.from),
-                           static_cast<std::int64_t>(round), m.words[0]});
-      if (m.words[0] < 103) out.send(m.from, {m.words[0] + 1});
+                           static_cast<std::int64_t>(round), m.words()[0]});
+      if (m.words()[0] < 103) out.send(m.from, {m.words()[0] + 1});
     }
   }
 
@@ -213,7 +215,7 @@ class PulseProtocol final : public Protocol {
     }
     for (const MessageView& m : inbox) {
       if (m.from == v - 1 && v + 1 < n_) {
-        out.send(v + 1, {m.words[0]});
+        out.send(v + 1, {m.words()[0]});
       }
       ++forwarded_[static_cast<std::size_t>(v)];
     }
@@ -430,6 +432,143 @@ TEST(Simulator, FloodIdenticalAcrossShardCounts) {
     EXPECT_EQ(metrics.messages_per_round, base.messages_per_round);
     EXPECT_EQ(protocol.seen_round(), reference.seen_round());
   }
+}
+
+/// Payload lifetime across the words-only double buffer. Every vertex
+/// sends every round, and its payload grows by one word per round, so
+/// the live arenas keep reallocating while the receivers of last round's
+/// payloads still read them. Word 0 is the send round and word i >= 1 is
+/// payload_word(from, sent, i). A receiver checks every word it got
+/// before and again after staging its own sends: a bucket that reused
+/// the arena its inbox views alias would overwrite them in between.
+class GrowingPayloadProtocol final : public Protocol {
+ public:
+  static std::uint64_t payload_word(VertexId from, std::uint64_t sent,
+                                    std::size_t i) {
+    return (static_cast<std::uint64_t>(from) << 40) ^ (sent << 16) ^ i ^
+           0x9e3779b97f4a7c15ULL;
+  }
+
+  void begin(const Graph& g) override {
+    graph_ = &g;
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    received_.assign(n, 0);
+    corrupt_.assign(n, 0);
+    late_.assign(n, 0);
+    digest_.assign(n, 0);
+  }
+
+  void on_round(VertexId v, std::size_t round,
+                std::span<const MessageView> inbox, Outbox& out) override {
+    const auto vi = static_cast<std::size_t>(v);
+    check(vi, round, inbox, /*tally=*/false);
+    std::vector<std::uint64_t> payload(round + 2);
+    payload[0] = round;
+    for (std::size_t i = 1; i < payload.size(); ++i) {
+      payload[i] = payload_word(v, round, i);
+    }
+    // Both send paths: one arena copy per destination shard for even
+    // vertices, one copy per message for odd ones.
+    if (v % 2 == 0) {
+      out.send_to_all_neighbors(payload);
+    } else {
+      for (const VertexId to : graph_->neighbors(v)) out.send(to, payload);
+    }
+    check(vi, round, inbox, /*tally=*/true);
+  }
+
+  bool finished() const override { return false; }
+  // Delayed copies can leave an inbox empty; every vertex must still send.
+  bool needs_spontaneous_rounds() const override { return true; }
+
+  static std::uint64_t total(const std::vector<std::uint64_t>& per_vertex) {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t x : per_vertex) sum += x;
+    return sum;
+  }
+  std::uint64_t received() const { return total(received_); }
+  std::uint64_t corrupt() const { return total(corrupt_); }
+  std::uint64_t late() const { return total(late_); }
+  const std::vector<std::uint64_t>& digest() const { return digest_; }
+
+ private:
+  // Per-vertex tallies: on_round runs on pool threads, and each vertex
+  // writes only its own slot.
+  void check(std::size_t vi, std::size_t round,
+             std::span<const MessageView> inbox, bool tally) {
+    for (const MessageView& msg : inbox) {
+      const std::span<const std::uint64_t> words = msg.words();
+      bool intact = words.size() >= 2 && words[0] < round &&
+                    words.size() == words[0] + 2;
+      for (std::size_t i = 1; intact && i < words.size(); ++i) {
+        intact = words[i] == payload_word(msg.from, words[0], i);
+      }
+      if (!intact) ++corrupt_[vi];
+      if (!tally) continue;
+      ++received_[vi];
+      if (intact && words[0] + 1 != round) ++late_[vi];
+      for (const std::uint64_t w : words) digest_[vi] = digest_[vi] * 31 + w;
+    }
+  }
+
+  const Graph* graph_ = nullptr;
+  std::vector<std::uint64_t> received_;
+  std::vector<std::uint64_t> corrupt_;
+  std::vector<std::uint64_t> late_;
+  std::vector<std::uint64_t> digest_;
+};
+
+TEST(Simulator, InboxPayloadsOutliveTheNextRoundsSends) {
+  // Small enough that every arena stays a heap block rather than a
+  // private mapping: a view into a released arena then reads stale words
+  // (caught below) instead of faulting.
+  const Graph g = make_gnp(64, 4.0 / 63.0, 5);
+  constexpr std::size_t kRounds = 32;
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.delay_rate = 0.3;
+  plan.max_delay_rounds = 3;
+  plan.duplicate_rate = 0.2;
+  for (const bool faulty : {false, true}) {
+    std::vector<std::uint64_t> reference;
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(faulty ? "faulty" : "reliable") +
+                   " threads=" + std::to_string(threads));
+      FaultyTransport transport(plan);
+      EngineOptions options;
+      options.threads = threads;
+      if (faulty) options.transport = &transport;
+      GrowingPayloadProtocol protocol;
+      SyncEngine engine(g, options);
+      const SimMetrics metrics = engine.run(protocol, kRounds);
+      ASSERT_EQ(metrics.rounds, kRounds);
+      EXPECT_EQ(protocol.corrupt(), 0u);
+      // Every delivery but the last round's was read by a receiver.
+      EXPECT_EQ(protocol.received(),
+                metrics.messages - metrics.messages_per_round.back());
+      EXPECT_GT(protocol.received(), 0u);
+      if (faulty) {
+        EXPECT_GT(protocol.late(), 0u);
+        EXPECT_GT(metrics.faults.duplicated, 0u);
+      } else {
+        EXPECT_EQ(protocol.late(), 0u);
+      }
+      if (reference.empty()) {
+        reference = protocol.digest();
+      } else {
+        EXPECT_EQ(protocol.digest(), reference);
+      }
+    }
+  }
+}
+
+TEST(Simulator, ArenaOffsetRefusesAnArenaPassing32Bits) {
+  constexpr std::size_t kLimit = detail::kArenaWordLimit;
+  EXPECT_EQ(detail::arena_offset(0, 4), 0u);
+  EXPECT_EQ(detail::arena_offset(kLimit - 5, 4), kLimit - 5);
+  EXPECT_THROW(detail::arena_offset(kLimit - 4, 4), std::logic_error);
+  EXPECT_THROW(detail::arena_offset(kLimit, 0), std::logic_error);
+  EXPECT_THROW(detail::arena_offset(0, kLimit), std::logic_error);
 }
 
 TEST(SimMetrics, AveragesAndFormatting) {

@@ -19,11 +19,22 @@
 //   quit
 //       exit 0 (EOF does the same)
 //
+// Numbers are parsed strictly (support/parse.hpp): a token with
+// trailing garbage, a sign where none belongs, NaN/inf, or a value out
+// of range answers {"ok":0,...} with an error naming the key and value.
+// What the schedule derives from them is bounded too: the theorem
+// factories refuse a c * n that is not finite and a phase count or
+// per-phase round count past kMaxSchedulePhases / kMaxPhaseRounds
+// (decomposition/carve_schedule.hpp), and the service refuses a cover
+// whose power graph passes ServiceOptions::max_cover_edges.
+//
 // Flags: --threads N (engine workers, default 1), --cache N (result
 // cache capacity, default 64), --help.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -34,6 +45,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "service/decomposition_service.hpp"
+#include "support/parse.hpp"
 
 namespace {
 
@@ -105,24 +117,33 @@ class KeyValues {
   }
 
   std::string get(const std::string& key, const std::string& fallback) {
-    auto it = pairs_.find(key);
-    if (it == pairs_.end()) return fallback;
-    consumed_.push_back(key);
-    return it->second;
+    const std::string* text = take(key);
+    return text != nullptr ? *text : fallback;
   }
 
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) {
-    auto it = pairs_.find(key);
-    if (it == pairs_.end()) return fallback;
-    consumed_.push_back(key);
-    return std::stoll(it->second);
+  /// An integer in [lo, hi]; the fallback is returned unchecked.
+  std::int64_t get_int(const std::string& key, std::int64_t fallback,
+                       std::int64_t lo, std::int64_t hi) {
+    const std::string* text = take(key);
+    return text != nullptr ? parse_int(key, *text, lo, hi) : fallback;
   }
 
-  double get_double(const std::string& key, double fallback) {
-    auto it = pairs_.find(key);
-    if (it == pairs_.end()) return fallback;
-    consumed_.push_back(key);
-    return std::stod(it->second);
+  std::uint64_t get_uint(const std::string& key, std::uint64_t fallback) {
+    const std::string* text = take(key);
+    return text != nullptr ? parse_uint(key, *text) : fallback;
+  }
+
+  /// A finite real number above `floor`.
+  double get_real(const std::string& key, double fallback, double floor) {
+    const std::string* text = take(key);
+    if (text == nullptr) return fallback;
+    const double value = parse_double(key, *text);
+    if (!(value > floor)) {
+      std::ostringstream expected;
+      expected << "a number above " << floor;
+      throw_bad_value(key, *text, expected.str());
+    }
+    return value;
   }
 
   /// Unknown keys are command errors, not silently ignored knobs.
@@ -135,9 +156,21 @@ class KeyValues {
   }
 
  private:
+  /// The value given for `key` (marked consumed), or nullptr.
+  const std::string* take(const std::string& key) {
+    const auto it = pairs_.find(key);
+    if (it == pairs_.end()) return nullptr;
+    consumed_.push_back(key);
+    return &it->second;
+  }
+
   std::unordered_map<std::string, std::string> pairs_;
   std::vector<std::string> consumed_;
 };
+
+constexpr std::int64_t kMaxInt32 = std::numeric_limits<std::int32_t>::max();
+// Engine workers are OS threads; far more than any host's cores is a typo.
+constexpr std::int64_t kMaxThreads = 256;
 
 class Server {
  public:
@@ -178,8 +211,9 @@ class Server {
     } else if (tokens[2] == "family") {
       const std::string family = tokens[3];
       KeyValues kv(tokens, 4);
-      const auto n = static_cast<VertexId>(kv.get_int("n", 1000));
-      const auto seed = static_cast<std::uint64_t>(kv.get_int("seed", 1));
+      const auto n =
+          static_cast<VertexId>(kv.get_int("n", 1000, 1, kMaxInt32));
+      const std::uint64_t seed = kv.get_uint("seed", 1);
       kv.require_all_consumed();
       graph = family_by_name(family).make(n, seed);
     } else {
@@ -215,31 +249,33 @@ class Server {
       throw std::invalid_argument("unknown graph: " + id);
     }
     const VertexId n = it->second;
-    const int theorem = std::stoi(tokens[3]);
+    const auto theorem = parse_int("theorem", tokens[3], 1, 3);
     KeyValues kv(tokens, 4);
 
     ServiceRequest request;
     request.graph_id = id;
+    // Every phase's beta = ln(c n) / k must stay positive: c n > 1, and
+    // theorem 2's stages need c > 1.
+    const double c_floor = 1.0 / static_cast<double>(n);
     if (theorem == 1) {
       request.schedule = theorem1_schedule(
-          n, static_cast<std::int32_t>(kv.get_int("k", 0)),
-          kv.get_double("c", 4.0));
+          n, static_cast<std::int32_t>(kv.get_int("k", 0, 0, kMaxInt32)),
+          kv.get_real("c", 4.0, c_floor));
     } else if (theorem == 2) {
       request.schedule = theorem2_schedule(
-          n, static_cast<std::int32_t>(kv.get_int("k", 0)),
-          kv.get_double("c", 6.0));
-    } else if (theorem == 3) {
-      request.schedule = theorem3_schedule(
-          n, static_cast<std::int32_t>(kv.get_int("lambda", 3)),
-          kv.get_double("c", 4.0));
+          n, static_cast<std::int32_t>(kv.get_int("k", 0, 0, kMaxInt32)),
+          kv.get_real("c", 6.0, std::max(1.0, c_floor)));
     } else {
-      throw std::invalid_argument("theorem must be 1, 2, or 3");
+      request.schedule = theorem3_schedule(
+          n,
+          static_cast<std::int32_t>(kv.get_int("lambda", 3, 1, kMaxInt32)),
+          kv.get_real("c", 4.0, c_floor));
     }
-    request.seed = static_cast<std::uint64_t>(kv.get_int("seed", 1));
+    request.seed = kv.get_uint("seed", 1);
     request.deliverable =
         deliverable_by_name(kv.get("deliverable", "decomposition"));
     request.cover_radius =
-        static_cast<std::int32_t>(kv.get_int("radius", 2));
+        static_cast<std::int32_t>(kv.get_int("radius", 2, 1, n));
     const std::string backend = kv.get("backend", "distributed");
     if (backend == "centralized") {
       request.backend = ServiceBackend::kCentralized;
@@ -328,13 +364,19 @@ int main(int argc, char** argv) {
       print_usage(std::cout);
       return 0;
     }
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else {
-      std::cerr << "dsnd_serve: unknown argument '" << arg << "'\n";
-      print_usage(std::cerr);
+    try {
+      if (arg == "--threads" && i + 1 < argc) {
+        threads = static_cast<unsigned>(
+            parse_int("--threads", argv[++i], 0, kMaxThreads));
+      } else if (arg == "--cache" && i + 1 < argc) {
+        cache = static_cast<std::size_t>(parse_uint("--cache", argv[++i]));
+      } else {
+        std::cerr << "dsnd_serve: unknown argument '" << arg << "'\n";
+        print_usage(std::cerr);
+        return 2;
+      }
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "dsnd_serve: " << e.what() << "\n";
       return 2;
     }
   }
