@@ -25,9 +25,10 @@ constexpr std::uint64_t kTagLeave = 2;
 std::uint64_t pack_double(double x) { return std::bit_cast<std::uint64_t>(x); }
 double unpack_double(std::uint64_t w) { return std::bit_cast<double>(w); }
 
-bool same_entry(const CarveEntry& a, const CarveEntry& b) {
-  return a.center == b.center && a.dist == b.dist && a.radius == b.radius;
-}
+// Per-vertex sent flags: the entry now in the best (second) slot was
+// already considered by send_changed.
+constexpr std::uint8_t kSentBest = 1;
+constexpr std::uint8_t kSentSecond = 2;
 
 class CarvingProtocol final : public Protocol {
  public:
@@ -75,8 +76,7 @@ class CarvingProtocol final : public Protocol {
     alive_.assign(n, 1);
     best_.assign(n, CarveEntry{});
     second_.assign(n, CarveEntry{});
-    sent_best_.assign(n, CarveEntry{});
-    sent_second_.assign(n, CarveEntry{});
+    sent_.assign(n, 0);
     chosen_center_.assign(n, -1);
     chosen_phase_.assign(n, -1);
     radii_.resize(n);
@@ -108,7 +108,7 @@ class CarvingProtocol final : public Protocol {
         // Rollback: overwrite the freshly initialized per-vertex arrays
         // with the last validated checkpoint and resume at its phase.
         // The departed-neighbor flags are rebuilt from the restored
-        // alive_. Nothing else needs restoring — best_/second_/sent_* are
+        // alive_. Nothing else needs restoring — best_/second_/sent_ are
         // rewritten at the attempt's step 0 and never read for carved
         // vertices, and round 0 runs EVERY vertex in scheduled mode, so
         // no wake-calendar snapshot is needed: carved vertices return
@@ -244,8 +244,7 @@ class CarvingProtocol final : public Protocol {
       const double r = radii_[vi];
       best_[vi] = CarveEntry{r, 0, name(v)};
       second_[vi] = CarveEntry{};
-      sent_best_[vi] = CarveEntry{};
-      sent_second_[vi] = CarveEntry{};
+      sent_[vi] = 0;
       send_changed(v, out);
       // The quiet broadcast steps run on inbox arrivals only; the
       // deciding step must run even with an empty inbox. The wake chain
@@ -472,39 +471,50 @@ class CarvingProtocol final : public Protocol {
     max_sampled_radius_ = std::max(max_sampled_radius_, stats.max_radius);
   }
 
+  /// Merges `entry` into the top-2. A slot whose entry is replaced loses
+  /// its sent flag; an entry that moves between slots carries its flag.
   void merge(std::size_t vi, const CarveEntry& entry) {
     CarveEntry& best = best_[vi];
     CarveEntry& second = second_[vi];
+    std::uint8_t& sent = sent_[vi];
     if (best.valid() && best.center == entry.center) {
-      if (entry.beats(best)) best = entry;
+      if (entry.beats(best)) {
+        best = entry;
+        sent = static_cast<std::uint8_t>(sent & ~kSentBest);
+      }
       return;
     }
     if (second.valid() && second.center == entry.center) {
       if (entry.beats(second)) {
         second = entry;
-        if (second.beats(best)) std::swap(best, second);
+        sent = static_cast<std::uint8_t>(sent & ~kSentSecond);
+        if (second.beats(best)) {
+          std::swap(best, second);
+          sent = static_cast<std::uint8_t>(((sent & kSentBest) << 1) |
+                                            ((sent & kSentSecond) >> 1));
+        }
       }
       return;
     }
     if (entry.beats(best)) {
       second = best;
       best = entry;
+      sent = (sent & kSentBest) != 0 ? kSentSecond : std::uint8_t{0};
     } else if (entry.beats(second)) {
       second = entry;
+      sent = static_cast<std::uint8_t>(sent & ~kSentSecond);
     }
   }
 
   /// Forwards each of the current top-2 entries that (a) still has
-  /// broadcast budget and (b) was not already transmitted by this vertex
+  /// broadcast budget and (b) was not already considered by this vertex
   /// (receivers merge idempotently, so one transmission suffices).
   void send_changed(VertexId v, Outbox& out) {
     const auto vi = static_cast<std::size_t>(v);
-    for (const CarveEntry* entry : {&best_[vi], &second_[vi]}) {
+    for (const std::uint8_t slot : {kSentBest, kSentSecond}) {
+      if ((sent_[vi] & slot) != 0) continue;
+      const CarveEntry* entry = slot == kSentBest ? &best_[vi] : &second_[vi];
       if (!entry->valid()) continue;
-      if (same_entry(*entry, sent_best_[vi]) ||
-          same_entry(*entry, sent_second_[vi])) {
-        continue;
-      }
       const std::int32_t next_dist = entry->dist + 1;
       const bool in_range =
           static_cast<double>(next_dist) <= std::floor(entry->radius);
@@ -518,14 +528,13 @@ class CarvingProtocol final : public Protocol {
             departed_.row(v));
       }
     }
-    // Mirror the whole top-2 so an entry (transmitted, or skipped as out
-    // of range) is never reconsidered while it stays in the top-2. The
-    // mirror must hold both slots at once: remembering only the last two
-    // *transmissions* can evict a still-current entry and trigger a
-    // redundant rebroadcast on a later quiet step, which would also make
-    // message counts depend on which quiet rounds the vertex runs in.
-    sent_best_[vi] = best_[vi];
-    sent_second_[vi] = second_[vi];
+    // Flag the whole top-2 so an entry (transmitted, or skipped as out of
+    // range) is never reconsidered while it stays in the top-2. An entry
+    // evicted from the top-2 never returns: the second slot only ever
+    // improves under beats(), a strict order. So a flag per slot, carried
+    // along by merge(), is enough: no entry needs remembering once it has
+    // left the top-2.
+    sent_[vi] = kSentBest | kSentSecond;
   }
 
   CarveParams params_;  // rebound between runs via set_params
@@ -565,8 +574,7 @@ class CarvingProtocol final : public Protocol {
   std::vector<RadiusBatchStats> chunk_stats_;
   std::vector<CarveEntry> best_;
   std::vector<CarveEntry> second_;
-  std::vector<CarveEntry> sent_best_;
-  std::vector<CarveEntry> sent_second_;
+  std::vector<std::uint8_t> sent_;  // kSentBest | kSentSecond per vertex
   std::vector<VertexId> chosen_center_;
   std::vector<std::int32_t> chosen_phase_;
   PerWorker<Accum> accum_;

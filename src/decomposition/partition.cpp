@@ -34,21 +34,6 @@ void Clustering::assign(VertexId v, ClusterId c) {
   cluster_of_[static_cast<std::size_t>(v)] = c;
 }
 
-ClusterId Clustering::cluster_of(VertexId v) const {
-  DSND_REQUIRE(v >= 0 && v < num_vertices(), "vertex out of range");
-  return cluster_of_[static_cast<std::size_t>(v)];
-}
-
-VertexId Clustering::center_of(ClusterId c) const {
-  DSND_REQUIRE(c >= 0 && c < num_clusters(), "cluster out of range");
-  return centers_[static_cast<std::size_t>(c)];
-}
-
-std::int32_t Clustering::color_of(ClusterId c) const {
-  DSND_REQUIRE(c >= 0 && c < num_clusters(), "cluster out of range");
-  return colors_[static_cast<std::size_t>(c)];
-}
-
 bool Clustering::is_complete() const {
   return std::none_of(cluster_of_.begin(), cluster_of_.end(),
                       [](ClusterId c) { return c == kNoCluster; });

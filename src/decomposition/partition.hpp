@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "support/assert.hpp"
 
 namespace dsnd {
 
@@ -72,9 +73,19 @@ class Clustering {
   /// Assigns vertex v to cluster c; v must be unassigned.
   void assign(VertexId v, ClusterId c);
 
-  ClusterId cluster_of(VertexId v) const;
-  VertexId center_of(ClusterId c) const;
-  std::int32_t color_of(ClusterId c) const;
+  // Inline: the validators call these once per vertex or edge.
+  ClusterId cluster_of(VertexId v) const {
+    DSND_REQUIRE(v >= 0 && v < num_vertices(), "vertex out of range");
+    return cluster_of_[static_cast<std::size_t>(v)];
+  }
+  VertexId center_of(ClusterId c) const {
+    DSND_REQUIRE(c >= 0 && c < num_clusters(), "cluster out of range");
+    return centers_[static_cast<std::size_t>(c)];
+  }
+  std::int32_t color_of(ClusterId c) const {
+    DSND_REQUIRE(c >= 0 && c < num_clusters(), "cluster out of range");
+    return colors_[static_cast<std::size_t>(c)];
+  }
 
   /// True when every vertex belongs to some cluster (a full partition).
   bool is_complete() const;

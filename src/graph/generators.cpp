@@ -1001,13 +1001,17 @@ const std::vector<GraphFamily>& families_impl() {
 
 const std::vector<GraphFamily>& standard_families() { return families_impl(); }
 
-const GraphFamily& family_by_name(const std::string& name) {
+const GraphFamily* find_family(const std::string& name) {
   for (const GraphFamily& family : families_impl()) {
-    if (family.name == name) return family;
+    if (family.name == name) return &family;
   }
-  DSND_REQUIRE(false, "unknown graph family: " + name);
-  // Unreachable; DSND_REQUIRE throws.
-  throw std::invalid_argument("unreachable");
+  return nullptr;
+}
+
+const GraphFamily& family_by_name(const std::string& name) {
+  const GraphFamily* family = find_family(name);
+  DSND_REQUIRE(family != nullptr, "unknown graph family: " + name);
+  return *family;
 }
 
 }  // namespace dsnd

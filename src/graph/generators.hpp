@@ -194,6 +194,9 @@ struct GraphFamily {
 /// rgg, hyperbolic, kronecker.
 const std::vector<GraphFamily>& standard_families();
 
+/// Look up a family by name; nullptr if unknown.
+const GraphFamily* find_family(const std::string& name);
+
 /// Look up a family by name; throws std::invalid_argument if unknown.
 const GraphFamily& family_by_name(const std::string& name);
 

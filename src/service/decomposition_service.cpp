@@ -29,14 +29,19 @@ const char* deliverable_name(Deliverable deliverable) {
   return "?";
 }
 
-Deliverable deliverable_by_name(const std::string& name) {
+std::optional<Deliverable> find_deliverable(const std::string& name) {
   for (const Deliverable d :
        {Deliverable::kDecomposition, Deliverable::kMis,
         Deliverable::kColoring, Deliverable::kSpanner, Deliverable::kCover}) {
     if (name == deliverable_name(d)) return d;
   }
-  DSND_REQUIRE(false, "unknown deliverable: " + name);
-  return Deliverable::kDecomposition;  // unreachable
+  return std::nullopt;
+}
+
+Deliverable deliverable_by_name(const std::string& name) {
+  const std::optional<Deliverable> deliverable = find_deliverable(name);
+  DSND_REQUIRE(deliverable.has_value(), "unknown deliverable: " + name);
+  return *deliverable;
 }
 
 DecompositionService::DecompositionService(const ServiceOptions& options)

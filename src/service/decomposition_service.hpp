@@ -67,8 +67,9 @@ enum class Deliverable : std::int32_t {
 };
 
 const char* deliverable_name(Deliverable deliverable);
-/// Inverse of deliverable_name; throws on unknown names (dsnd_serve's
-/// request parser).
+/// Inverse of deliverable_name; nullopt for unknown names.
+std::optional<Deliverable> find_deliverable(const std::string& name);
+/// Inverse of deliverable_name; throws on unknown names.
 Deliverable deliverable_by_name(const std::string& name);
 
 /// Which execution backend carves. Bit-identical per seed (the PR 3

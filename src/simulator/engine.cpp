@@ -19,6 +19,13 @@ constexpr std::size_t kRoundReserveCap = std::size_t{1} << 16;
 // cheaper inline than waking the pool for a barrier.
 constexpr std::size_t kSerialQuietCollect = 2048;
 
+// Inbox offsets (SyncEngine::inbox_begin_/inbox_fill_) are 32-bit, so a
+// shard's inbox holds fewer than 2^32 messages per round.
+constexpr std::uint64_t kInboxMessageLimit = std::uint64_t{1} << 32;
+
+// Staged wakes store their delay in 32 bits.
+constexpr std::size_t kWakeDelayLimit = std::size_t{1} << 32;
+
 }  // namespace
 
 namespace dsnd {
@@ -86,12 +93,77 @@ void Outbox::send_to_all_neighbors(std::span<const std::uint64_t> words,
 
 void Outbox::wake_self_in(std::size_t rounds) {
   DSND_REQUIRE(rounds >= 1, "wake_self_in needs a delay of at least 1 round");
+  DSND_REQUIRE(rounds < kWakeDelayLimit,
+               "wake_self_in needs a delay below 2^32 rounds");
   // Wakes ride in the bucket addressed to the sender's own shard, so the
   // owner finds them during its collect stage no matter which worker
   // executed the vertex.
-  staging_.buckets[engine_.shard_of(sender_)].wakes.emplace_back(
-      static_cast<std::uint64_t>(engine_.current_round_ + rounds), sender_);
+  staging_.buckets[engine_.shard_of(sender_)].wakes.push_back(
+      detail::StagedWake{sender_, static_cast<std::uint32_t>(rounds)});
 }
+
+// ---------------------------------------------------------------------------
+// WakeCalendar
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+std::uint32_t WakeCalendar::take_chunk() {
+  if (free_ == kNone) {
+    chunks_.push_back(
+        std::make_unique_for_overwrite<VertexId[]>(kChunkEntries));
+    next_.push_back(kNone);
+    return static_cast<std::uint32_t>(chunks_.size() - 1);
+  }
+  const std::uint32_t c = free_;
+  free_ = next_[c];
+  next_[c] = kNone;
+  return c;
+}
+
+void WakeCalendar::insert(const std::uint64_t current,
+                          const std::uint64_t target, const VertexId v) {
+  const std::uint64_t delta = target - current;
+  if (delta >= slots_.size()) {
+    // Grow the ring to a power of two covering the delta. Every pending
+    // target t satisfies current < t < current + size, so old slot i
+    // holds round current + 1 + ((i - current - 1) mod size): each chain
+    // moves whole to that round's new slot, and distinct rounds land in
+    // distinct slots.
+    const std::size_t old_size = slots_.size();
+    std::size_t size = old_size;
+    while (size <= delta) size *= 2;
+    std::vector<Slot> grown(size);
+    for (std::size_t i = 0; i < old_size; ++i) {
+      if (slots_[i].head == kNone) continue;
+      const std::uint64_t round =
+          current + 1 + ((i - current - 1) & (old_size - 1));
+      grown[round & (size - 1)] = slots_[i];
+    }
+    slots_ = std::move(grown);
+  }
+  Slot& slot = slots_[target & (slots_.size() - 1)];
+  if (slot.head == kNone || slot.fill == kChunkEntries) {
+    const std::uint32_t c = take_chunk();
+    if (slot.head == kNone) {
+      slot.head = c;
+    } else {
+      next_[slot.tail] = c;
+    }
+    slot.tail = c;
+    slot.fill = 0;
+  }
+  chunks_[slot.tail][slot.fill++] = v;
+  ++pending_;
+}
+
+void WakeCalendar::clear() {
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    drain(slot, [](VertexId) {});
+  }
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // SyncEngine
@@ -125,7 +197,6 @@ SyncEngine::SyncEngine(const Graph& g, EngineOptions options)
     shards_[s].end =
         std::min(graph_.num_vertices(),
                  static_cast<VertexId>(shards_[s].begin + shard_width_));
-    shards_[s].wake_ring.resize(64);
   }
   staging_.resize(workers_);
   for (detail::SendStaging& staging : staging_) {
@@ -151,8 +222,7 @@ void SyncEngine::reset(Protocol& protocol) {
     shard.touched.clear();
     shard.inbox_views.clear();
     shard.active.clear();
-    for (auto& bucket : shard.wake_ring) bucket.clear();
-    shard.pending_wakes = 0;
+    shard.wakes.clear();
     shard.round_messages = 0;
     shard.round_words = 0;
     shard.round_max_words = 0;
@@ -194,27 +264,6 @@ void SyncEngine::execute_shard(Protocol& protocol, unsigned s,
   }
 }
 
-void SyncEngine::ring_insert(detail::Shard& shard, const std::uint64_t target,
-                             const VertexId v) {
-  const std::uint64_t delta = target - current_round_;
-  if (delta >= shard.wake_ring.size()) {
-    // Grow the calendar to a power of two covering the delta and rehome
-    // the pending entries under the new mask.
-    std::size_t size = shard.wake_ring.size();
-    while (size <= delta) size *= 2;
-    std::vector<std::vector<std::pair<std::uint64_t, VertexId>>> grown(size);
-    for (const auto& bucket : shard.wake_ring) {
-      for (const auto& entry : bucket) {
-        grown[entry.first & (size - 1)].push_back(entry);
-      }
-    }
-    shard.wake_ring = std::move(grown);
-  }
-  shard.wake_ring[target & (shard.wake_ring.size() - 1)].emplace_back(target,
-                                                                      v);
-  ++shard.pending_wakes;
-}
-
 void SyncEngine::collect_shard(unsigned s, bool deliver) {
   detail::Shard& shard = shards_[s];
 
@@ -244,13 +293,15 @@ void SyncEngine::collect_shard(unsigned s, bool deliver) {
         ++count;
       }
     }
+    DSND_CHECK(messages < kInboxMessageLimit,
+               "a shard's inbox would reach 2^32 messages in one round");
     shard.round_messages = messages;
     shard.round_words = word_total;
     shard.round_max_words = max_words;
 
     // Pass 2: CSR offsets for the touched receivers only — a quiet round
     // costs O(active + messages), never O(n).
-    std::size_t running = 0;
+    std::uint32_t running = 0;
     for (const VertexId to : shard.touched) {
       const auto ti = static_cast<std::size_t>(to);
       inbox_begin_[ti] = running;
@@ -289,27 +340,25 @@ void SyncEngine::collect_shard(unsigned s, bool deliver) {
   // run-every-vertex mode none of this is ever read, so staged wakes are
   // simply dropped with the rest of the staging.
   if (scheduled_) {
+    const auto current = static_cast<std::uint64_t>(current_round_);
     for (unsigned w = 0; w < workers_; ++w) {
-      for (const auto& [target, v] : staging_[w].buckets[s].wakes) {
-        ring_insert(shard, target, v);
+      for (const detail::StagedWake& wake : staging_[w].buckets[s].wakes) {
+        shard.wakes.insert(current, current + wake.delay, wake.vertex);
       }
     }
-    const std::uint64_t next = static_cast<std::uint64_t>(current_round_) + 1;
+    const std::uint64_t next = current + 1;
     const std::uint64_t stamp = next + 1;
     shard.active.clear();
     for (const VertexId to : shard.touched) {
       shard.active.push_back(to);
       active_stamp_[static_cast<std::size_t>(to)] = stamp;
     }
-    auto& due = shard.wake_ring[next & (shard.wake_ring.size() - 1)];
-    for (const auto& [target, v] : due) {
+    shard.wakes.drain(next, [&](const VertexId v) {
       if (active_stamp_[static_cast<std::size_t>(v)] != stamp) {
         active_stamp_[static_cast<std::size_t>(v)] = stamp;
         shard.active.push_back(v);
       }
-    }
-    shard.pending_wakes -= due.size();
-    due.clear();
+    });
     // Vertex-id order keeps execution (and inbox) order identical to the
     // run-every-vertex mode. Dense lists are rebuilt by scanning the
     // owned slice of the stamp array — O(shard), cheaper than sorting a
@@ -372,7 +421,7 @@ SimMetrics SyncEngine::run(Protocol& protocol, std::size_t max_rounds) {
       std::size_t pending = 0;
       for (const detail::Shard& shard : shards_) {
         total += shard.active.size();
-        pending += shard.pending_wakes;
+        pending += shard.wakes.pending();
       }
       if (total == 0 && pending == 0 && transport_->pending() == 0) {
         // Quiescent: no inbox, no pending wake, nothing in flight in the

@@ -47,12 +47,20 @@
 // early: no future round could change state. Active lists, wake
 // calendars, and quiescence counts are all shard-local; only the O(S)
 // per-round roll-up runs on the driving thread.
+//
+// Memory: the engine keeps 24 bytes per vertex (32-bit inbox offset,
+// fill cursor, length and count, plus a 64-bit active stamp), 32 per
+// message of the busiest round (header + inbox view), and per wake 8
+// bytes while staged (detail::StagedWake) and 4 while pending in the
+// owner's WakeCalendar, whose 4 KiB chunks are pooled per shard and
+// reused as slots drain — so the calendar holds what is pending at once.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -122,6 +130,65 @@ struct EngineOptions {
 
 namespace detail {
 
+/// A shard's pending self-wakes, bucketed by target round in a
+/// power-of-two ring of slots. Every pending target lies less than one
+/// ring length past the round that inserts it, so a slot's index names
+/// its round and an entry is just the 4-byte vertex id. Each slot is a
+/// chain of fixed-size chunks drawn from one pool with a free list;
+/// draining a slot returns its chunks, so the pool follows the wakes
+/// pending at once, not the sum of every slot's peak. clear() keeps all
+/// capacity: warm runs allocate nothing.
+class WakeCalendar {
+ public:
+  static constexpr std::uint32_t kChunkEntries = 1024;
+
+  WakeCalendar() : slots_(64) {}
+
+  /// Queues `v` to run in round `target`, inserted during round
+  /// `current` (target > current). Grows the ring when the target lies a
+  /// ring length or more ahead.
+  void insert(std::uint64_t current, std::uint64_t target, VertexId v);
+
+  /// Calls fn(v) for every vertex due in `round` and returns the slot's
+  /// chunks to the pool.
+  template <typename F>
+  void drain(std::uint64_t round, F&& fn) {
+    Slot& slot = slots_[round & (slots_.size() - 1)];
+    if (slot.head == kNone) return;
+    for (std::uint32_t c = slot.head;; c = next_[c]) {
+      const std::uint32_t count = c == slot.tail ? slot.fill : kChunkEntries;
+      const VertexId* entries = chunks_[c].get();
+      for (std::uint32_t i = 0; i < count; ++i) fn(entries[i]);
+      pending_ -= count;
+      if (c == slot.tail) break;
+    }
+    next_[slot.tail] = free_;
+    free_ = slot.head;
+    slot = Slot{};
+  }
+
+  std::size_t pending() const { return pending_; }
+
+  void clear();
+
+ private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  struct Slot {
+    std::uint32_t head = kNone;  // first chunk of the chain
+    std::uint32_t tail = kNone;  // last chunk, the one being filled
+    std::uint32_t fill = 0;      // entries used in the tail chunk
+  };
+
+  std::uint32_t take_chunk();
+
+  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<VertexId[]>> chunks_;  // the pool
+  std::vector<std::uint32_t> next_;  // per chunk: next in chain or free list
+  std::uint32_t free_ = kNone;
+  std::size_t pending_ = 0;
+};
+
 /// Shard-local delivery and scheduling state, owned by one worker and
 /// cache-line padded so neighboring shards never share a line.
 struct alignas(64) Shard {
@@ -134,10 +201,9 @@ struct alignas(64) Shard {
   std::vector<VertexId> touched;  // owned receivers with mail
 
   // Active-vertex scheduling: next round's owned active list and the
-  // shard's wake calendar (power-of-two ring keyed by target round).
+  // shard's wake calendar.
   std::vector<VertexId> active;
-  std::vector<std::vector<std::pair<std::uint64_t, VertexId>>> wake_ring;
-  std::size_t pending_wakes = 0;
+  WakeCalendar wakes;
 
   // Per-round accumulators, rolled up by the driving thread at the end
   // of stage 2 — no cross-core contention during the round.
@@ -345,7 +411,6 @@ class SyncEngine {
   /// false on elided quiet rounds: the transport was not exchanged, so
   /// the delivery passes are skipped and only wakes/active lists run.
   void collect_shard(unsigned s, bool deliver);
-  void ring_insert(detail::Shard& shard, std::uint64_t target, VertexId v);
 
   const Graph& graph_;
   const EngineOptions options_;
@@ -374,9 +439,10 @@ class SyncEngine {
   // Per-vertex delivery slots, each touched only by its owner's worker.
   // inbox_begin_/inbox_len_ index the owner shard's inbox_views and are
   // valid for the receivers in that shard's touched list; inbox_len_ is
-  // zero elsewhere.
-  std::vector<std::size_t> inbox_begin_;
-  std::vector<std::size_t> inbox_fill_;
+  // zero elsewhere. Offsets are 32-bit: collect_shard refuses a shard
+  // round of 2^32 messages or more (kInboxMessageLimit).
+  std::vector<std::uint32_t> inbox_begin_;
+  std::vector<std::uint32_t> inbox_fill_;
   std::vector<std::uint32_t> inbox_len_;
   std::vector<std::uint32_t> inbox_count_;
   std::vector<std::uint64_t> active_stamp_;

@@ -78,6 +78,16 @@ inline std::uint32_t arena_offset(std::size_t arena_words,
   return static_cast<std::uint32_t>(arena_words);
 }
 
+/// A self-wake staged this round: the vertex and its delay in rounds (8
+/// bytes; Outbox::wake_self_in refuses a delay of 2^32 or more). The
+/// owner's collect stage turns it into a 4-byte entry of its shard's
+/// WakeCalendar (simulator/engine.hpp), keyed by round + delay.
+struct StagedWake {
+  VertexId vertex = -1;
+  std::uint32_t delay = 0;
+};
+static_assert(sizeof(StagedWake) == 8);
+
 /// One (source worker -> destination shard) staging bucket: headers,
 /// flat payload words, and the wake requests of senders owned by the
 /// destination shard. Capacity persists across rounds.
@@ -92,7 +102,7 @@ struct ShardBucket {
   std::vector<MsgHeader> headers;
   std::vector<std::uint64_t> words;
   std::vector<std::uint64_t> retired_words;  // last round's payloads
-  std::vector<std::pair<std::uint64_t, VertexId>> wakes;  // (round, vertex)
+  std::vector<StagedWake> wakes;
 
   /// Call once per round, before the round stages anything: a second
   /// call would hand last round's still-viewed words back for reuse.

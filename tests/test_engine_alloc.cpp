@@ -4,11 +4,15 @@
 // of heap allocations (the metrics snapshot returned at the end) —
 // none per message, per inbox, or per round.
 //
-// The global operator new/delete are replaced with counting versions.
-// Each test brackets its own measurement window with before/after
-// counter reads, so gtest bookkeeping between tests never pollutes a
-// window.
+// The global operator new/delete are replaced with counting versions
+// that also track the live heap bytes and their peak (by
+// malloc_usable_size, so a free needs no size). Each test brackets its
+// own measurement window with before/after counter reads, so gtest
+// bookkeeping between tests never pollutes a window.
+#include <malloc.h>
+
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 
@@ -24,11 +28,25 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_peak_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(size ? size : 1);
+  if (p == nullptr) throw std::bad_alloc();
+  const std::size_t live =
+      g_live_bytes.fetch_add(malloc_usable_size(p)) + malloc_usable_size(p);
+  std::size_t peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+
+void counted_free(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(malloc_usable_size(p));
+  std::free(p);
 }
 
 }  // namespace
@@ -41,17 +59,19 @@ void* operator new(std::size_t size, std::align_val_t) {
 void* operator new[](std::size_t size, std::align_val_t) {
   return counted_alloc(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace dsnd {
@@ -205,6 +225,28 @@ TEST(EngineAllocations, WarmFaultedContextRecoveryAllocatesOnlyTheResult) {
   EXPECT_EQ(warm_b.sim.messages, warm_a.sim.messages);
   EXPECT_LE(allocs_b, allocs_a);
   EXPECT_LE(allocs_b, 4096u);
+}
+
+// The cold carve's working set, gated: the peak live heap of one cold
+// Theorem 1 carve on a 200k ring (engine, protocol, wake calendar,
+// staging and result), above what was live before the call. The bound
+// is about 1.3x the measured peak (39.0 MiB on x86-64 glibc; 66.4 MiB
+// before the wake calendar, staged wakes and sent flags were compacted),
+// so a regrowth of any per-vertex or per-wake array fails here.
+TEST(EngineAllocations, ColdRingCarvePeakHeapIsBounded) {
+  const VertexId n = 200000;
+  const Graph g = make_cycle(n);
+  const CarveSchedule schedule = theorem1_schedule(n, 0, 4.0);
+
+  const std::size_t base = g_live_bytes.load();
+  g_peak_bytes.store(base);
+  const DistributedRun run = run_schedule_distributed(g, schedule, 7);
+  const std::size_t peak = g_peak_bytes.load() - base;
+
+  ASSERT_EQ(run.run.carve.status, CarveStatus::kOk);
+  std::printf("cold ring carve, n = %d: peak live heap %.1f MiB\n", n,
+              static_cast<double>(peak) / (1024.0 * 1024.0));
+  EXPECT_LE(peak, std::size_t{51} << 20);
 }
 
 }  // namespace

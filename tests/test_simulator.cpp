@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -307,6 +308,112 @@ TEST(Simulator, WakeSelfRequiresPositiveDelay) {
   BadWake protocol;
   SyncEngine engine(g);
   EXPECT_THROW(engine.run(protocol, 2), std::invalid_argument);
+}
+
+/// Drives the wake calendar with no messages at all: every activation
+/// after round 0 is a self-wake. At round 0 each vertex stages two wakes
+/// from kDelays, which straddle the initial 64-slot ring (63, 64, 65) and
+/// grow it twice within that round's collect (to 128, then 1024). At its
+/// first wake each vertex stages one follow-up from kFollowUps, some of
+/// which land past round 1023 and so wrap around the 1024-slot ring. In
+/// round 1000 every vertex that runs stages a 1500-round wake, which
+/// grows the ring to 2048 while those wrapped wakes are pending: each
+/// must move to the slot of its own round. Each vertex records the
+/// rounds it ran and the rounds it asked for.
+class WakeCalendarProtocol final : public Protocol {
+ public:
+  static constexpr std::size_t kDelays[] = {1, 63, 64, 65, 1000};
+  static constexpr std::size_t kFollowUps[] = {1, 65, 1000};
+  static constexpr std::size_t kGrowRound = 1000;
+  static constexpr std::size_t kGrowDelay = 1500;
+
+  void begin(const Graph& g) override {
+    const auto n = static_cast<std::size_t>(g.num_vertices());
+    ran_.assign(n, {});
+    asked_.assign(n, {0});
+  }
+
+  void on_round(VertexId v, std::size_t round, std::span<const MessageView>,
+                Outbox& out) override {
+    const auto vi = static_cast<std::size_t>(v);
+    ran_[vi].push_back(round);
+    if (round == 0) {
+      wake(vi, round, kDelays[vi % 5], out);
+      wake(vi, round, kDelays[(vi + 2) % 5], out);
+    } else if (ran_[vi].size() == 2) {
+      wake(vi, round, kFollowUps[vi % 3], out);
+    }
+    if (round == kGrowRound) wake(vi, round, kGrowDelay, out);
+  }
+
+  bool finished() const override { return false; }
+
+  const std::vector<std::size_t>& ran(std::size_t v) const { return ran_[v]; }
+
+  /// The sorted distinct rounds vertex v asked to run in, round 0 included.
+  std::vector<std::size_t> asked(std::size_t v) const {
+    std::vector<std::size_t> rounds = asked_[v];
+    std::sort(rounds.begin(), rounds.end());
+    rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
+    return rounds;
+  }
+
+ private:
+  void wake(std::size_t v, std::size_t round, std::size_t delay,
+            Outbox& out) {
+    out.wake_self_in(delay);
+    asked_[v].push_back(round + delay);
+  }
+
+  std::vector<std::vector<std::size_t>> ran_;
+  std::vector<std::vector<std::size_t>> asked_;
+};
+
+TEST(Simulator, WakesFireExactlyAtTheirRoundAcrossCalendarGrowth) {
+  const Graph g = make_path(40);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    WakeCalendarProtocol protocol;
+    EngineOptions options;
+    options.threads = threads;
+    SyncEngine engine(g, options);
+    const SimMetrics metrics = engine.run(protocol, 5000);
+    EXPECT_EQ(metrics.status, RunStatus::kQuiescent);
+    std::uint64_t runs = 0;
+    std::size_t last = 0;
+    for (std::size_t v = 0; v < 40; ++v) {
+      EXPECT_EQ(protocol.ran(v), protocol.asked(v)) << "v=" << v;
+      runs += protocol.ran(v).size();
+      last = std::max(last, protocol.ran(v).back());
+    }
+    EXPECT_EQ(metrics.vertex_activations, runs);
+    EXPECT_EQ(last, WakeCalendarProtocol::kGrowRound +
+                        WakeCalendarProtocol::kGrowDelay);
+    EXPECT_EQ(metrics.rounds, last + 1);
+  }
+}
+
+TEST(Simulator, WakeSelfRefusesADelayOf2To32Rounds) {
+  class FarWake final : public Protocol {
+   public:
+    void begin(const Graph&) override {}
+    void on_round(VertexId v, std::size_t, std::span<const MessageView>,
+                  Outbox& out) override {
+      if (v == 0) out.wake_self_in(std::size_t{1} << 32);
+    }
+    bool finished() const override { return false; }
+  };
+  const Graph g = make_path(2);
+  FarWake protocol;
+  SyncEngine engine(g);
+  try {
+    engine.run(protocol, 2);
+    FAIL() << "a 2^32-round wake was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("delay below 2^32"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// Same seed must give a bit-identical clustering and identical message

@@ -35,6 +35,7 @@
 #include <cstring>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -215,7 +216,13 @@ class Server {
           static_cast<VertexId>(kv.get_int("n", 1000, 1, kMaxInt32));
       const std::uint64_t seed = kv.get_uint("seed", 1);
       kv.require_all_consumed();
-      graph = family_by_name(family).make(n, seed);
+      // Names are resolved here, not by family_by_name: a library
+      // refusal would carry its source location into the response.
+      const GraphFamily* generator = find_family(family);
+      if (generator == nullptr) {
+        throw std::invalid_argument("unknown graph family: " + family);
+      }
+      graph = generator->make(n, seed);
     } else {
       throw std::invalid_argument("expected 'family' or 'file', got " +
                                   tokens[2]);
@@ -272,8 +279,12 @@ class Server {
           kv.get_real("c", 4.0, c_floor));
     }
     request.seed = kv.get_uint("seed", 1);
-    request.deliverable =
-        deliverable_by_name(kv.get("deliverable", "decomposition"));
+    const std::string deliverable = kv.get("deliverable", "decomposition");
+    const std::optional<Deliverable> resolved = find_deliverable(deliverable);
+    if (!resolved) {
+      throw std::invalid_argument("unknown deliverable: " + deliverable);
+    }
+    request.deliverable = *resolved;
     request.cover_radius =
         static_cast<std::int32_t>(kv.get_int("radius", 2, 1, n));
     const std::string backend = kv.get("backend", "distributed");
